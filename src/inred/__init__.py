@@ -29,6 +29,7 @@ from .geometry import (
     gramian_transfer_input,
     lift_trajectory,
     max_controlled_invariant,
+    output_nulling,
     reduce_system,
     weakly_unobservable,
 )

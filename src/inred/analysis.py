@@ -20,21 +20,13 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .exact import (
-    DimensionMismatch,
-    RationalMatrix,
-    Subspace,
-    kernel,
-    preimage,
-)
+from .exact import DimensionMismatch, RationalMatrix, Subspace, kernel
 from .geometry import (
     DegenerateStateSpace,
     PinnedBases,
-    ReducedSystem,
     SystemQuadruple,
-    controllable_weakly_unobservable,
+    output_nulling,
     reduce_system,
-    weakly_unobservable,
 )
 
 
@@ -98,13 +90,11 @@ def joint_kernel_dim(B: RationalMatrix, D: RationalMatrix) -> int:
 def degree_and_kind(sys: SystemQuadruple) -> RedundancyReport:
     """Classify an unconstrained quadruple (geometric route, exact)."""
     rho = joint_kernel_dim(sys.B, sys.D)
-    V = weakly_unobservable(sys)
-    N = preimage(sys.B, V) & kernel(sys.D)
-    nu = N.dim - rho
-    R = controllable_weakly_unobservable(sys)
+    on = output_nulling(sys)
+    nu = on.N.dim - rho
     kind = kind_of(rho, nu)
     return RedundancyReport(
-        rho=rho, nu=nu, N=N, dim_V=V.dim, dim_R=R.dim,
+        rho=rho, nu=nu, N=on.N, dim_V=on.V.dim, dim_R=on.R.dim,
         kind=kind, degree=(rho, nu), uniform=kind is not Kind.NOT_IR,
         l=sys.n,
     )

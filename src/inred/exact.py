@@ -391,22 +391,11 @@ def complete_basis(current: RationalMatrix, candidates: Iterable[RationalMatrix]
     """Columns that greedily extend `current`'s to a larger independent set.
 
     Scans the candidate matrices column by column and keeps each column that
-    raises the rank.  Returns only the appended columns.
+    raises the rank.  Returns only the appended columns.  One elimination
+    suffices: a column of [current, candidates...] is a pivot column of the
+    RREF exactly when it lies outside the span of the columns before it.
     """
-    n = current.rows
-    cols = [current.col(j) for j in range(current.cols)]
-    rank = current.rank()
-    out: list[tuple[Fraction, ...]] = []
-    for cand in candidates:
-        if cand.rows != n:
-            raise DimensionMismatch("candidate columns have the wrong length")
-        for j in range(cand.cols):
-            v = cand.col(j)
-            trial_rows = [list(r) for r in zip(*(cols + out + [v]))] if n else []
-            trial = RationalMatrix.from_rows(trial_rows, cols=len(cols) + len(out) + 1)
-            if trial.rank() > rank:
-                out.append(v)
-                rank += 1
-    if not out:
-        return RationalMatrix.zeros(n, 0)
-    return RationalMatrix.from_rows([list(r) for r in zip(*out)], cols=len(out))
+    stacked = RationalMatrix.hstack(current, *candidates)  # checks the column lengths
+    keep = [c for c in stacked.rref()[1] if c >= current.cols]
+    data = tuple(tuple(row[c] for c in keep) for row in stacked.entries)
+    return RationalMatrix(current.rows, len(keep), data)

@@ -15,7 +15,7 @@ meant to be verified by simulation, never trusted blindly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -31,7 +31,6 @@ from .exact import (
     restriction_matrix,
 )
 from .trajectory import (
-    Grid,
     GridMismatch,
     Interpolation,
     SampledSignal,
@@ -57,6 +56,10 @@ class PinnedInvalid(ValueError):
 
 class SingularGramian(ValueError):
     """Reachability Gramian is numerically singular over the requested horizon."""
+
+
+class FixpointNotConverged(RuntimeError):
+    """A subspace fixpoint failed to settle within its theoretical bound."""
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,21 @@ class SystemQuadruple:
 # invariant subspaces
 
 
+def _fixpoint(step: Callable[[Subspace], Subspace], start: Subspace, bound: int) -> Subspace:
+    """Iterate `step` from `start` until it returns its argument.
+
+    The chains iterated here are monotone, so they settle within `bound`
+    (dimension + 1) steps; failing to settle is a bug, never a result.
+    """
+    current = start
+    for _ in range(bound):
+        following = step(current)
+        if following == current:
+            return current
+        current = following
+    raise FixpointNotConverged(f"no fixpoint after {bound} steps")
+
+
 def max_controlled_invariant(A: RationalMatrix, B: RationalMatrix, K: Subspace) -> Subspace:
     """Largest (A, B)-controlled invariant subspace contained in K.
 
@@ -118,13 +136,7 @@ def max_controlled_invariant(A: RationalMatrix, B: RationalMatrix, K: Subspace) 
     if K.ambient_dim != A.rows:
         raise DimensionMismatch("constraint subspace must live in the state space")
     im_b = image(B)
-    V = K
-    for _ in range(A.rows + 1):
-        V_next = K & preimage(A, V + im_b)
-        if V_next == V:
-            return V
-        V = V_next
-    return V
+    return _fixpoint(lambda V: K & preimage(A, V + im_b), K, A.rows + 1)
 
 
 def weakly_unobservable(sys: SystemQuadruple) -> Subspace:
@@ -135,15 +147,12 @@ def weakly_unobservable(sys: SystemQuadruple) -> Subspace:
     """
     stacked = RationalMatrix.vstack(sys.A, sys.C)
     im_bd = image(RationalMatrix.vstack(sys.B, sys.D))
-    n, p = sys.n, sys.p
-    V = Subspace.full(n)
-    for _ in range(n + 1):
-        lifted = image(RationalMatrix.vstack(V.basis, RationalMatrix.zeros(p, V.dim)))
-        V_next = preimage(stacked, lifted + im_bd)
-        if V_next == V:
-            return V
-        V = V_next
-    return V
+
+    def step(V: Subspace) -> Subspace:
+        lifted = image(RationalMatrix.vstack(V.basis, RationalMatrix.zeros(sys.p, V.dim)))
+        return preimage(stacked, lifted + im_bd)
+
+    return _fixpoint(step, Subspace.full(sys.n), sys.n + 1)
 
 
 def _friend_matrix(A: RationalMatrix, B: RationalMatrix, W: Subspace,
@@ -187,36 +196,36 @@ def friend(sys: SystemQuadruple, W: Subspace, output_nulling: bool = False) -> R
     raise NotControlledInvariant("subspace is not controlled invariant")
 
 
-def _output_nulling_structure(sys: SystemQuadruple) -> tuple[Subspace, RationalMatrix, RationalMatrix]:
-    """(V, F, L): weakly unobservable subspace, an output-nulling friend, and
-    an injective L spanning B^{-1}V n ker D."""
+@dataclass(frozen=True)
+class OutputNulling:
+    """The output-nulling objects of one system, each computed once.
+
+    V is the weakly unobservable subspace, F an output-nulling friend of V,
+    N = B^{-1}V n ker D the output-invisible input directions, and R the
+    controllable weakly unobservable subspace: the reachable set of
+    (A + BF, B N), contained in V by construction.
+    """
+
+    V: Subspace
+    F: RationalMatrix
+    N: Subspace
+    R: Subspace
+
+
+def output_nulling(sys: SystemQuadruple) -> OutputNulling:
+    """Compute V, F, N and R of a quadruple (see OutputNulling)."""
     V = weakly_unobservable(sys)
     F = friend(sys, V, output_nulling=True)
-    L = (preimage(sys.B, V) & kernel(sys.D)).basis
-    return V, F, L
-
-
-def _reachable_under(closed: RationalMatrix, seed: Subspace) -> Subspace:
-    """Smallest closed-invariant subspace containing the seed (Krylov fixpoint)."""
-    R = seed
-    for _ in range(closed.rows + 1):
-        R_next = R + image(closed @ R.basis)
-        if R_next == R:
-            return R
-        R = R_next
-    return R
+    N = preimage(sys.B, V) & kernel(sys.D)
+    closed = sys.A + sys.B @ F
+    R = _fixpoint(lambda W: W + image(closed @ W.basis), image(sys.B @ N.basis), sys.n + 1)
+    return OutputNulling(V=V, F=F, N=N, R=R)
 
 
 def controllable_weakly_unobservable(sys: SystemQuadruple) -> Subspace:
-    """States reachable from (and returnable to) the origin with zero output.
-
-    Realized as the reachable set of (A+BF, BL) for an output-nulling friend
-    F and L spanning B^{-1}V n ker D; contained in the weakly unobservable
-    subspace by construction.
-    """
-    V, F, L = _output_nulling_structure(sys)
-    closed = sys.A + sys.B @ F
-    return _reachable_under(closed, image(sys.B @ L))
+    """States reachable from (and returnable to) the origin with zero output:
+    the R of `output_nulling`."""
+    return output_nulling(sys).R
 
 
 # ---------------------------------------------------------------------------
@@ -372,18 +381,20 @@ def adapted_basis(sys: SystemQuadruple) -> AdaptedBasis:
     input enters only the first block, and the output reads only the last;
     these zero patterns are asserted exactly.
     """
-    V, F, L = _output_nulling_structure(sys)
+    on = output_nulling(sys)
+    F, L = on.F, on.N.basis
     closed = sys.A + sys.B @ F
     BL = sys.B @ L
-    Rsub = _reachable_under(closed, image(BL))
-    Ta = Rsub.basis
-    Tb = complete_basis(Ta, [V.basis])
-    Tc = complete_basis(RationalMatrix.hstack(Ta, Tb), [RationalMatrix.identity(sys.n)])
+    Ta = on.R.basis
+    extra = complete_basis(Ta, [on.V.basis, RationalMatrix.identity(sys.n)])
+    rb = on.V.dim - on.R.dim
+    Tb = extra.block(0, sys.n, 0, rb)
+    Tc = extra.block(0, sys.n, rb, extra.cols)
     S = RationalMatrix.hstack(Ta, Tb, Tc)
     S_inv = S.inverse()
     A_bar = S_inv @ closed @ S
     B_bar = S_inv @ BL
-    ra, rb = Ta.cols, Tb.cols
+    ra = Ta.cols
     n = sys.n
     if not (A_bar.block(ra, n, 0, ra).is_zero()
             and A_bar.block(ra + rb, n, ra, ra + rb).is_zero()
@@ -421,7 +432,7 @@ def reachability_gramian(A: np.ndarray, B: np.ndarray, duration: float) -> np.nd
 GRAMIAN_RCOND_MIN = 1e-12
 
 
-def _transfer_data(A: np.ndarray, B: np.ndarray, p0: np.ndarray, pf: np.ndarray,
+def gramian_transfer_data(A: np.ndarray, B: np.ndarray, p0: np.ndarray, pf: np.ndarray,
                    duration: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Sampled transfer input w and the exact state response phi at the nodes.
 
@@ -475,5 +486,5 @@ def gramian_transfer_input(A11, B1, phi_a0: Sequence[float], phi_af: Sequence[fl
     if p0.shape[0] != A.shape[0] or pf.shape[0] != A.shape[0]:
         raise DimensionMismatch("endpoint vectors must match the block dimension")
     steps = max(2, int(round(duration / dt)))
-    w, _ = _transfer_data(A, B, p0, pf, duration, steps)
+    w, _ = gramian_transfer_data(A, B, p0, pf, duration, steps)
     return SampledSignal(0.0, duration / steps, w, Interpolation.PIECEWISE_LINEAR)

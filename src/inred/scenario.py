@@ -60,6 +60,12 @@ def _require(obj: dict, key: str, context: str) -> Any:
     return obj[key]
 
 
+def _object(obj: Any, context: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{context} must be an object")
+    return obj
+
+
 def _rational_matrix(obj: Any, context: str) -> RationalMatrix:
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise ScenarioError(f"{context} must be a list of rows")
@@ -95,9 +101,7 @@ def _float_vector(obj: Any, context: str, allow_inf: bool = False) -> list[float
 def _constraint(obj: Any, dim: int, context: str) -> ConstraintSet:
     if obj is None:
         return FullSpace(dim)
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{context} must be an object")
-    kind = _require(obj, "type", context)
+    kind = _require(_object(obj, context), "type", context)
     if kind == "full":
         return FullSpace(dim)
     if kind == "subspace":
@@ -135,9 +139,7 @@ def _as_rational(x: Any, context: str) -> Fraction:
 
 
 def _signal(obj: Any, context: str) -> SampledSignal:
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{context} must be an object")
-    interp_name = obj.get("interpolation", "linear")
+    interp_name = _object(obj, context).get("interpolation", "linear")
     try:
         interp = Interpolation(interp_name)
     except ValueError as exc:
@@ -166,7 +168,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: top level must be an object")
 
-    sys_obj = _require(raw, "system", "scenario file")
+    sys_obj = _object(_require(raw, "system", "scenario file"), "'system'")
     system = SystemQuadruple(
         A=_rational_matrix(_require(sys_obj, "A", "system"), "system.A"),
         B=_rational_matrix(_require(sys_obj, "B", "system"), "system.B"),
@@ -176,15 +178,11 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     if system.m < 1:
         raise DimensionMismatch("system must have at least one input")
 
-    cons = raw.get("constraints", {})
-    if not isinstance(cons, dict):
-        raise ScenarioError("'constraints' must be an object")
+    cons = _object(raw.get("constraints", {}), "'constraints'")
     u_cs = _constraint(cons.get("u"), system.m, "constraints.u")
     x_cs = _constraint(cons.get("x"), system.n, "constraints.x")
 
-    scen = raw.get("scenario", {})
-    if not isinstance(scen, dict):
-        raise ScenarioError("'scenario' must be an object")
+    scen = _object(raw.get("scenario", {}), "'scenario'")
     x0 = None
     if "x0" in scen:
         x0 = np.array(_float_vector(scen["x0"], "scenario.x0"))
@@ -192,7 +190,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
             raise DimensionMismatch("scenario.x0 length does not match the state dimension")
     grid = None
     if "grid" in scen:
-        g = scen["grid"]
+        g = _object(scen["grid"], "scenario.grid")
         try:
             grid = Grid.from_horizon(
                 _float_value(g.get("t0", 0), "grid.t0"),
@@ -203,7 +201,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
             raise ScenarioError(f"scenario.grid: {exc}") from exc
     signals = {
         name: _signal(spec, f"scenario.signals.{name}")
-        for name, spec in scen.get("signals", {}).items()
+        for name, spec in _object(scen.get("signals", {}), "scenario.signals").items()
     }
     window = None
     if "window" in scen:
@@ -213,9 +211,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         window = (t1t2[0], t1t2[1])
     pinned = None
     if "pinned" in scen:
-        p = scen["pinned"]
-        if not isinstance(p, dict):
-            raise ScenarioError("scenario.pinned must be an object")
+        p = _object(scen["pinned"], "scenario.pinned")
         pinned = PinnedBases(
             R=_rational_matrix(p["R"], "pinned.R") if "R" in p else None,
             F=_rational_matrix(p["F"], "pinned.F") if "F" in p else None,

@@ -21,11 +21,7 @@ import numpy as np
 
 from .analysis import joint_kernel_dim
 from .exact import RationalMatrix, kernel
-from .geometry import (
-    SystemQuadruple,
-    adapted_basis,
-    _transfer_data,
-)
+from .geometry import SystemQuadruple, adapted_basis, gramian_transfer_data
 from .trajectory import (
     ConstraintSet,
     Grid,
@@ -171,8 +167,10 @@ def synthesize_state_loop(sys: SystemQuadruple, window: tuple[float, float],
     peak = np.zeros(ra)
     peak[0] = 1.0
     dt = grid.dt
-    w_out, phi_out = _transfer_data(A11, B1, np.zeros(ra), peak, (imid - i1) * dt, imid - i1)
-    w_back, phi_back = _transfer_data(A11, B1, peak, np.zeros(ra), (i2 - imid) * dt, i2 - imid)
+    w_out, phi_out = gramian_transfer_data(A11, B1, np.zeros(ra), peak,
+                                           (imid - i1) * dt, imid - i1)
+    w_back, phi_back = gramian_transfer_data(A11, B1, peak, np.zeros(ra),
+                                             (i2 - imid) * dt, i2 - imid)
     n_w = L.shape[1]
     w = np.zeros((grid.n, n_w))
     phi = np.zeros((grid.n, ra))

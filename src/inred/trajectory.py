@@ -275,11 +275,14 @@ def membership(cs: ConstraintSet, v: Sequence[float], tol: float = MEMBERSHIP_TO
     For boxes and polyhedra the margin is the least slack (normalized per row
     for polyhedra); classification is against the closure, so `strict` sets
     report Boundary for points on their frontier even though those points are
-    not members.
+    not members.  A point with a non-finite coordinate is never admissible:
+    it is Outside with margin -inf, whatever the set.
     """
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.shape[0] != constraint_dim(cs):
         raise DimensionMismatch("point dimension does not match constraint set")
+    if not all(map(math.isfinite, v.tolist())):
+        return Membership(Status.OUTSIDE, -math.inf)
     if isinstance(cs, FullSpace):
         return Membership(Status.INTERIOR, math.inf)
     if isinstance(cs, LinearSubspaceSet):

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import random
+import sys as pysys
 
 import pytest
 
+from inred import geometry
 from inred.analysis import (
     Kind,
     RedundancyReport,
@@ -174,6 +176,27 @@ def test_analyze_integrator_full_spaces(integrator):
     assert rep.kind is Kind.NOT_IR
     assert not rep.uniform
     assert rep.left_invertible_P is True
+
+
+def test_analyze_computes_weakly_unobservable_once_per_system(
+        monkeypatch, four_input_system, four_input_constraints):
+    # one call for the reduced system, one for the unconstrained one
+    original = geometry.weakly_unobservable
+    calls = []
+
+    def counted(sys):
+        calls.append(sys)
+        return original(sys)
+
+    for name, module in list(pysys.modules.items()):
+        if name == "inred" or name.startswith("inred."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    u_set, x_set = four_input_constraints
+    report = analyze(four_input_system, u_set, x_set)
+    assert report.l > 0
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,46 @@ def test_simulate_dimension_mismatch(tmp_path):
     assert main(["simulate", path]) == 6
 
 
+@pytest.mark.parametrize("u_constraint", [
+    {"type": "full"},
+    {"type": "box", "lower": [-1], "upper": [1]},
+])
+def test_simulate_nan_input_sample_is_not_admissible(tmp_path, capsys, u_constraint):
+    obj = {
+        "system": {"A": [[-1]], "B": [[1]], "C": [[1]], "D": [[0]]},
+        "constraints": {"u": u_constraint, "x": {"type": "full"}},
+        "scenario": {"signals": {"z": signal_obj([[0.0], [math.nan], [0.0]], dt=0.1)}},
+    }
+    path = write(tmp_path, "nan.json", obj)
+    assert "NaN" in (tmp_path / "nan.json").read_text()  # a bare JSON NaN
+    assert main(["simulate", path]) == 0
+    assert '"admissible": false' in capsys.readouterr().out
+
+
+def test_simulate_overflowing_trajectory_is_not_admissible(tmp_path, capsys):
+    obj = {
+        "system": {"A": [[1]], "B": [[1]], "C": [[1]], "D": [[0]]},
+        "constraints": {"u": {"type": "full"}, "x": {"type": "full"}},
+        "scenario": {"x0": [1.0], "signals": {"z": signal_obj(np.zeros((3, 1)), dt=1000.0)}},
+    }
+    path = write(tmp_path, "overflow.json", obj)
+    with np.errstate(all="ignore"):
+        assert main(["simulate", path]) == 0
+    assert '"admissible": false' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("block", [
+    {"scenario": {"signals": [1, 2]}},
+    {"scenario": {"grid": 3}},
+    {"system": 3},
+])
+def test_malformed_scenario_block_is_a_parse_error(tmp_path, capsys, block):
+    obj = {"system": {"A": [[0]], "B": [[1]], "C": [[1]], "D": [[0]]}, **block}
+    path = write(tmp_path, "malformed.json", obj)
+    assert main(["simulate", path]) == 3
+    assert "must be an object" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # synthesize
 

@@ -11,9 +11,10 @@ from scipy.integrate import quad_vec, solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
-from inred.exact import RationalMatrix, Subspace, image, kernel
+from inred.exact import RationalMatrix, Subspace, image, kernel, preimage
 from inred.geometry import (
     DegenerateStateSpace,
+    FixpointNotConverged,
     NotControlledInvariant,
     PinnedBases,
     SingularGramian,
@@ -24,9 +25,11 @@ from inred.geometry import (
     gramian_transfer_input,
     lift_trajectory,
     max_controlled_invariant,
+    output_nulling,
     reachability_gramian,
     reduce_system,
     weakly_unobservable,
+    _fixpoint,
 )
 from inred.trajectory import Grid, SampledSignal
 
@@ -162,6 +165,25 @@ def test_friend_validity_on_random_weakly_unobservable():
         assert image(closed @ V.basis) <= V
         assert ((sys.C + sys.D @ F) @ V.basis).is_zero()
         assert controllable_weakly_unobservable(sys) <= V
+
+
+def test_output_nulling_record_matches_its_parts():
+    rng = random.Random(72)
+    for _ in range(30):
+        sys = random_system(rng, n_max=4, m_max=3, p_max=2)
+        on = output_nulling(sys)
+        assert on.V == weakly_unobservable(sys)
+        assert on.F == friend(sys, on.V, output_nulling=True)
+        assert on.N == preimage(sys.B, on.V) & kernel(sys.D)
+        assert on.R <= on.V
+
+
+def test_fixpoint_that_never_settles_raises():
+    def flip(V):
+        return Subspace.zero(2) if V.is_full() else Subspace.full(2)
+
+    with pytest.raises(FixpointNotConverged):
+        _fixpoint(flip, Subspace.full(2), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,19 @@ def test_membership_trichotomy_random():
         assert (m.status is Status.BOUNDARY) == (m.margin == 0.0)
 
 
+@pytest.mark.parametrize("cs", [
+    FullSpace(2),
+    LinearSubspaceSet(Subspace.full(2)),
+    span_set(2, [1, 0]),
+    Box((0, 0), (1, 1)),
+    Polyhedron([[1.0, 1.0]], [1.0]),
+])
+@pytest.mark.parametrize("point", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 0.0]])
+def test_non_finite_point_is_outside(cs, point):
+    m = membership(cs, point)
+    assert m.status is Status.OUTSIDE and m.margin == -math.inf
+
+
 def test_membership_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         membership(Box((0,), (1,)), [0.1, 0.2])
