@@ -2,9 +2,11 @@
 
 Every geometric decision made by this package (rank, dimension, membership,
 invariance) happens here over exact rational arithmetic, so results cannot
-flip on floating-point round-off.  Scalars are `fractions.Fraction`; matrices
-are immutable and row-major.  Subspaces carry a canonical reduced-column-
-echelon basis, which makes value equality coincide with subspace equality.
+flip on floating-point round-off.  Entries are `fractions.Fraction`; matrices
+are immutable and row-major.  Elimination and products clear denominators
+and run over Python integers, with one division per output entry.  Subspaces
+carry a canonical reduced-column-echelon basis, which makes value equality
+coincide with subspace equality.
 
 Floating point is confined to the trajectory layer; `to_float` is the only
 bridge.
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -37,9 +41,10 @@ def as_fraction(value: ScalarLike) -> Fraction:
     """Coerce an int, Fraction, "p/q" string or decimal string to Fraction.
 
     Floats are rejected on purpose: their binary expansion is almost never
-    the decimal the caller had in mind.  Rationalize first.
+    the decimal the caller had in mind.  Rationalize first.  Booleans are
+    rejected although `bool` subclasses `int`.
     """
-    if isinstance(value, (Fraction, int)):
+    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -48,34 +53,50 @@ def as_fraction(value: ScalarLike) -> Fraction:
     )
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+def _integer_vector(vec: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers `ints` and the least d > 0 with vec == [k / d for k in ints]."""
+    d = lcm(*[x.denominator for x in vec])
+    if d == 1:
+        return [x.numerator for x in vec], 1
+    return [x.numerator * (d // x.denominator) for x in vec], d
+
+
+def _rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot columns).
+
+    Gauss-Jordan over integers: each row is scaled to integers, every row
+    operation is followed by division by the gcd of the new row's entries,
+    and each pivot row is divided by its pivot once at the end.  Each integer
+    row stays a nonzero multiple of the row that `Fraction` elimination with
+    the same pivots would hold, so pivots and result are the same.
+    """
+    work = [_integer_vector(row)[0] for row in rows]
+    nrows = len(work)
     pivots: list[int] = []
     r = 0
-    nrows = len(rows)
     for c in range(ncols):
         if r >= nrows:
             break
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows) if work[i][c]), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            inv = 1 / pv
-            rows[r] = [x * inv for x in rows[r]]
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        prow = work[r]
+        pv = prow[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = work[i][c]
+            if i != r and f:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                new = [a * x - b * y for x, y in zip(work[i], prow)]
+                h = gcd(*new)
+                work[i] = [x // h for x in new] if h > 1 else new
         pivots.append(c)
         r += 1
-    return rows, pivots
+    out = [[Fraction(x, work[i][c]) if x else _ZERO for x in work[i]]
+           for i, c in enumerate(pivots)]
+    out.extend([_ZERO] * ncols for _ in range(nrows - r))
+    return out, pivots
 
 
 @dataclass(frozen=True)
@@ -139,14 +160,14 @@ class RationalMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
         if other.rows == 0:
-            ocols = [() for _ in range(other.cols)]
+            right = [([], 1)] * other.cols
         else:
-            ocols = list(zip(*other.entries))
-        data = tuple(
-            tuple(sum((a * b for a, b in zip(row, col)), _ZERO) for col in ocols)
-            for row in self.entries
-        )
-        return RationalMatrix(self.rows, other.cols, data)
+            right = [_integer_vector(col) for col in zip(*other.entries)]
+        data = []
+        for row in self.entries:
+            a, da = _integer_vector(row)
+            data.append(tuple(Fraction(sum(map(mul, a, b)), da * db) for b, db in right))
+        return RationalMatrix(self.rows, other.cols, tuple(data))
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.shape != other.shape:
@@ -197,8 +218,7 @@ class RationalMatrix:
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
-        rows = [list(r) for r in self.entries]
-        rows, pivots = _rref(rows, self.cols)
+        rows, pivots = _rref(self.entries, self.cols)
         data = tuple(tuple(r) for r in rows)
         return RationalMatrix(self.rows, self.cols, data), tuple(pivots)
 
@@ -216,10 +236,10 @@ class RationalMatrix:
         red, pivots = aug.rref()
         if any(p >= self.cols for p in pivots):
             return None
-        data = [[_ZERO] * rhs.cols for _ in range(self.cols)]
+        data = [(_ZERO,) * rhs.cols] * self.cols
         for r, c in enumerate(pivots):
-            data[c] = list(red.entries[r][self.cols:])
-        return RationalMatrix.from_rows(data, cols=rhs.cols)
+            data[c] = red.entries[r][self.cols:]
+        return RationalMatrix(self.cols, rhs.cols, tuple(data))
 
     def inverse(self) -> "RationalMatrix":
         if self.rows != self.cols:
@@ -343,7 +363,7 @@ def _kernel_columns(mat: RationalMatrix) -> RationalMatrix:
         data[j][k] = _ONE
         for r, c in enumerate(pivots):
             data[c][k] = -red.entries[r][j]
-    return RationalMatrix.from_rows(data, cols=len(free))
+    return RationalMatrix(mat.cols, len(free), tuple(map(tuple, data)))
 
 
 def kernel(mat: RationalMatrix) -> Subspace:
@@ -365,7 +385,8 @@ def preimage(mat: RationalMatrix, target: Subspace) -> Subspace:
         raise DimensionMismatch("preimage target must live in the codomain")
     if target.is_zero():
         return kernel(mat)
-    stacked = RationalMatrix.hstack(mat, -target.basis)
+    # mat @ u = T @ w and mat @ u = -T @ w have the same solutions u
+    stacked = RationalMatrix.hstack(mat, target.basis)
     null = _kernel_columns(stacked)
     head = null.block(0, mat.cols, 0, null.cols)
     return image(head)

@@ -18,7 +18,7 @@ from typing import Any, Optional, Union
 
 import numpy as np
 
-from .exact import DimensionMismatch, RationalMatrix, Subspace
+from .exact import DimensionMismatch, RationalMatrix, Subspace, as_fraction
 from .geometry import PinnedBases, SystemQuadruple
 from .trajectory import (
     Box,
@@ -128,14 +128,10 @@ def _constraint(obj: Any, dim: int, context: str) -> ConstraintSet:
 
 
 def _as_rational(x: Any, context: str) -> Fraction:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScenarioError(f"bad rational in {context}: {x!r}") from exc
-    raise ScenarioError(f"bad rational in {context}: {x!r}")
+    try:
+        return as_fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ScenarioError(f"bad rational in {context}: {x!r}") from exc
 
 
 def _signal(obj: Any, context: str) -> SampledSignal:

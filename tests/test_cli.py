@@ -324,6 +324,23 @@ def test_malformed_scenario_block_is_a_parse_error(tmp_path, capsys, block):
     assert "must be an object" in capsys.readouterr().err
 
 
+def test_boolean_matrix_entry_is_a_parse_error(tmp_path, capsys):
+    obj = {"system": {"A": [[True]], "B": [[1]], "C": [[1]], "D": [[0]]}}
+    path = write(tmp_path, "bool_entry.json", obj)
+    assert main(["analyze", path]) == 3
+    err = capsys.readouterr().err
+    assert "system.A" in err and "Traceback" not in err
+
+
+def test_boolean_span_entry_is_a_parse_error(tmp_path, capsys):
+    obj = four_input_scenario(pin=False)
+    obj["constraints"]["x"] = {"type": "subspace", "span": [[1, False, 0]]}
+    path = write(tmp_path, "bool_span.json", obj)
+    assert main(["analyze", path]) == 3
+    err = capsys.readouterr().err
+    assert "constraints.x" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # synthesize
 

@@ -69,6 +69,12 @@ def test_as_fraction_rejects_floats():
         as_fraction(0.1)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_as_fraction_rejects_booleans(value):
+    with pytest.raises(TypeError):
+        as_fraction(value)
+
+
 def test_string_round_trip():
     M = mat([["1/3", "-2"], ["0", "5/7"]])
     strings = M.to_strings()
@@ -375,3 +381,130 @@ def test_complete_basis_is_one_elimination(monkeypatch):
 def test_matmul_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         mat([[1, 2]]) @ mat([[1, 2]])
+
+
+# ---------------------------------------------------------------------------
+# integer elimination and products against the Fraction reference
+
+
+def rref_fraction(rows, ncols):
+    """Reference: Gauss-Jordan elimination over Fraction, as `rref` did before
+    it moved to integers.  Works in place; returns (rows, pivot columns)."""
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        if pv != 1:
+            inv = 1 / pv
+            rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def matmul_fraction(a, b):
+    """Reference: each product entry as a sum of Fraction products."""
+    cols = list(zip(*b.entries)) if b.rows else [()] * b.cols
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols)
+        for row in a.entries
+    )
+
+
+def all_fractions(m):
+    return all(type(x) is Fraction for row in m.entries for x in row)
+
+
+BIG = 2**80
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),  # past 64 bits
+)
+
+
+@st.composite
+def factor_pair(draw):
+    """(m, k, n, left, right): rows of an m x k and a k x n rational matrix.
+
+    Their product has rank at most k, so small k gives low-rank products.
+    """
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    k = draw(st.integers(0, 4))
+    left = draw(st.lists(st.lists(rationals, min_size=k, max_size=k), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=k, max_size=k))
+    if m and draw(st.booleans()):
+        left[draw(st.integers(0, m - 1))] = [Fraction(0)] * k  # an all-zero row
+    return m, k, n, left, right
+
+
+def factor_matrices(problem):
+    m, k, n, left, right = problem
+    L = RationalMatrix.from_rows(left, cols=k)
+    R = RationalMatrix.from_rows(right, cols=n)
+    return L, R, RationalMatrix(m, n, matmul_fraction(L, R))
+
+
+NEGATIVE_PIVOTS = (2, 2, 2, [[-2, 1], [4, -3]], [[-1, 0], [0, "-5/3"]])
+BIG_ENTRIES = (2, 2, 3, [[Fraction(2**70 + 1, 3**45), -2**65], [0, 0]],
+               [[Fraction(-(2**90), 7), 1, "1/3"], [Fraction(5**40, 2**66), 0, -1]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=factor_pair())
+@example(problem=(0, 2, 3, [], [[1, 2, 3], [4, 5, 6]]))  # 0 rows
+@example(problem=(2, 3, 0, [[1, 2, 3], [0, 0, 0]], [[], [], []]))  # 0 columns
+@example(problem=(2, 0, 3, [[], []], []))  # inner dimension 0
+@example(problem=NEGATIVE_PIVOTS)
+@example(problem=BIG_ENTRIES)
+def test_rref_and_matmul_match_fraction_reference(problem):
+    L, R, product = factor_matrices(problem)
+    ours = L @ R
+    assert ours.entries == product.entries and all_fractions(ours)
+    for M in (L, R, product):
+        red, pivots = M.rref()
+        expect_rows, expect_pivots = rref_fraction([list(r) for r in M.entries], M.cols)
+        assert [list(r) for r in red.entries] == expect_rows
+        assert list(pivots) == expect_pivots
+        assert all_fractions(red)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=factor_pair())
+@example(problem=(0, 2, 3, [], [[1, 2, 3], [4, 5, 6]]))
+@example(problem=(2, 0, 3, [[], []], []))
+@example(problem=NEGATIVE_PIVOTS)
+@example(problem=BIG_ENTRIES)
+def test_rref_and_rank_match_sympy(problem):
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    for M in factor_matrices(problem):
+        dm = DomainMatrix(
+            [[QQ(x.numerator, x.denominator) for x in row] for row in M.entries], M.shape, QQ
+        )
+        red, pivots = dm.rref()
+        expect = [[Fraction(int(q.numerator), int(q.denominator)) for q in row]
+                  for row in red.to_list()]
+        ours, our_pivots = M.rref()
+        assert [list(r) for r in ours.entries] == expect
+        assert our_pivots == tuple(pivots)
+        assert M.rank() == dm.rank()
