@@ -61,6 +61,7 @@ from .trajectory import (
     check_admissible,
     compare_triples,
     interior_window,
+    margins,
     membership,
     simulate,
 )

@@ -16,8 +16,6 @@ worst code wins.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -127,23 +125,26 @@ def _regrid(sig: SampledSignal, dt: Optional[float], horizon: Optional[float]) -
     return sig.resample(Grid.from_horizon(sig.t0, new_dt, span))
 
 
+def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
+    """CSV of float columns, each value written with `repr`.
+
+    The bytes are those of `csv.writer`'s default dialect: no `repr` of a
+    float needs quoting, and every line ends with CRLF.
+    """
+    rows = np.column_stack(columns).tolist()
+    lines = [",".join(header)]
+    lines += [",".join(map(repr, row)) for row in rows]
+    lines.append("")
+    return "\r\n".join(lines)
+
+
 def _trajectory_csv(triple) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
     header = (["t"]
               + [f"u{i}" for i in range(triple.u.dim)]
               + [f"x{i}" for i in range(triple.x.dim)]
               + [f"y{i}" for i in range(triple.y.dim)])
-    writer.writerow(header)
-    times = triple.u.times()
-    for k in range(triple.u.n_samples):
-        writer.writerow(
-            [repr(float(times[k]))]
-            + [repr(float(v)) for v in triple.u.values[k]]
-            + [repr(float(v)) for v in triple.x.values[k]]
-            + [repr(float(v)) for v in triple.y.values[k]]
-        )
-    return buf.getvalue()
+    return _csv_text(header, [triple.u.times(), triple.u.values,
+                              triple.x.values, triple.y.values])
 
 
 def _certificate_dict(cert: synthesis.IRCertificate) -> dict:
@@ -196,10 +197,8 @@ def _cmd_certify(scenario: Scenario, args: argparse.Namespace, out: Optional[Pat
     except synthesis.NoInteriorWindow as exc:
         payload: dict = {"certificate": None, "inconclusive": True, "reason": str(exc)}
         if args.check_boundary:
-            triple = simulate(scenario.system, x0, nominal)
-            rho = analysis.joint_kernel_dim(scenario.system.B, scenario.system.D)
             payload["boundary_residence"] = boundary_residence(
-                triple, scenario.u_constraint, scenario.x_constraint, rho)
+                exc.nominal, scenario.u_constraint, scenario.x_constraint, exc.rho)
         _emit(json.dumps(payload, indent=2), out)
         return EXIT_NO_WINDOW
     except (synthesis.VerificationFailed, synthesis.RhoZero, synthesis.RZero,
@@ -254,19 +253,12 @@ def _cmd_synthesize(scenario: Scenario, args: argparse.Namespace, out: Optional[
             SingularGramian) as exc:
         _emit(json.dumps({"error": str(exc)}, indent=2), out)
         return EXIT_FAILED
-    buf = io.StringIO()
-    writer = csv.writer(buf)
     header = ["t"] + [f"u{i}" for i in range(u_hat.dim)]
+    columns = [u_hat.times(), u_hat.values]
     if x_hat is not None:
         header += [f"x{i}" for i in range(x_hat.dim)]
-    writer.writerow(header)
-    times = u_hat.times()
-    for k in range(u_hat.n_samples):
-        row = [repr(float(times[k]))] + [repr(float(v)) for v in u_hat.values[k]]
-        if x_hat is not None:
-            row += [repr(float(v)) for v in x_hat.values[k]]
-        writer.writerow(row)
-    _emit(buf.getvalue(), out)
+        columns.append(x_hat.values)
+    _emit(_csv_text(header, columns), out)
     return EXIT_OK
 
 

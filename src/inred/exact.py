@@ -15,6 +15,7 @@ bridge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -22,7 +23,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-ScalarLike = Union[Fraction, int, str]
+ScalarLike = Union[Fraction, int, Decimal, str]
 VectorLike = Sequence[ScalarLike]
 
 _ZERO = Fraction(0)
@@ -38,18 +39,24 @@ class InvarianceViolated(ValueError):
 
 
 def as_fraction(value: ScalarLike) -> Fraction:
-    """Coerce an int, Fraction, "p/q" string or decimal string to Fraction.
+    """Coerce an int, Fraction, Decimal, "p/q" string or decimal string to Fraction.
 
-    Floats are rejected on purpose: their binary expansion is almost never
-    the decimal the caller had in mind.  Rationalize first.  Booleans are
-    rejected although `bool` subclasses `int`.
+    A finite `Decimal` converts exactly, so `Fraction(Decimal(s)) ==
+    Fraction(s)`; a NaN or infinite one raises ValueError.  Floats are
+    rejected on purpose: their binary expansion is almost never the decimal
+    the caller had in mind.  Rationalize first.  Booleans are rejected
+    although `bool` subclasses `int`.
     """
     if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, Decimal):
+        if not value.is_finite():
+            raise ValueError(f"non-finite decimal {value}")
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(
-        f"expected int, Fraction or rational string, got {type(value).__name__}"
+        f"expected int, Fraction, Decimal or rational string, got {type(value).__name__}"
     )
 
 

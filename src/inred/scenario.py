@@ -3,8 +3,10 @@ constraint sets and optional trajectory data.
 
 One file carries everything a command needs, so golden tests stay
 reproducible.  Rational matrix entries may be integers, "p/q" strings or
-decimal strings; decimal literals in the JSON are converted to rationals
-exactly (the parser hands the literal text to Fraction, never a float).
+decimal strings.  The parser reads every decimal literal in the JSON as a
+`Decimal`, which keeps the literal text exactly: matrix and span entries
+become the exact rationals they spell, and float fields (signal samples,
+x0, bounds, grid) are correctly rounded to the nearest float.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -87,9 +90,17 @@ def _float_value(x: Any, context: str, allow_inf: bool = False) -> float:
         if allow_inf and s in ("-inf", "-infinity"):
             return -math.inf
         raise ScenarioError(f"{context} must be a number, got {x!r}")
-    if isinstance(x, (int, Fraction, float)):
-        return float(x)
-    raise ScenarioError(f"{context} must be a number")
+    if isinstance(x, float):  # a bare JSON NaN, Infinity or -Infinity
+        return x
+    if not isinstance(x, (int, Decimal)):
+        raise ScenarioError(f"{context} must be a number")
+    try:
+        value = float(x) + 0.0  # + 0.0 reads a -0.0 literal as 0.0
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if math.isinf(value):
+        raise ScenarioError(f"{context}: number outside the float range")
+    return value
 
 
 def _float_vector(obj: Any, context: str, allow_inf: bool = False) -> list[float]:
@@ -117,14 +128,28 @@ def _constraint(obj: Any, dim: int, context: str) -> ConstraintSet:
         upper = _float_vector(_require(obj, "upper", context), f"{context}.upper", allow_inf=True)
         if len(lower) != dim or len(upper) != dim:
             raise DimensionMismatch(f"{context}: box bounds must have length {dim}")
-        return Box(tuple(lower), tuple(upper), strict=bool(obj.get("strict", False)))
+        return Box(tuple(lower), tuple(upper), strict=_strict(obj, context))
     if kind == "polyhedron":
         G = [_float_vector(row, f"{context}.G", False) for row in _require(obj, "G", context)]
         g = _float_vector(_require(obj, "g", context), f"{context}.g", False)
         if any(len(row) != dim for row in G):
             raise DimensionMismatch(f"{context}: G columns must equal {dim}")
-        return Polyhedron(np.array(G), np.array(g), strict=bool(obj.get("strict", False)))
+        return Polyhedron(np.array(G), np.array(g), strict=_strict(obj, context))
     raise ScenarioError(f"{context}: unknown constraint type {kind!r}")
+
+
+def _strict(obj: dict, context: str) -> bool:
+    strict = obj.get("strict", False)
+    if not isinstance(strict, bool):
+        raise ScenarioError(f"{context}.strict must be true or false")
+    return strict
+
+
+def _name(scen: dict, key: str) -> Optional[str]:
+    name = scen.get(key)
+    if name is not None and not isinstance(name, str):
+        raise ScenarioError(f"scenario.{key} must be a signal name")
+    return name
 
 
 def _as_rational(x: Any, context: str) -> Fraction:
@@ -158,8 +183,10 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     """Parse and validate a scenario file."""
     text = Path(path).read_text()
     try:
-        raw = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, parse_float=Decimal)
+    except (ValueError, ArithmeticError) as exc:
+        # ValueError: bad syntax or an over-long integer literal;
+        # ArithmeticError: a decimal exponent Decimal cannot represent
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: top level must be an object")
@@ -216,7 +243,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     return Scenario(
         system=system, u_constraint=u_cs, x_constraint=x_cs,
         x0=x0, grid=grid, signals=signals,
-        nominal=scen.get("nominal"), input_name=scen.get("input"),
+        nominal=_name(scen, "nominal"), input_name=_name(scen, "input"),
         window=window, pinned=pinned,
     )
 

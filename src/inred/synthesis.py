@@ -58,7 +58,16 @@ class NotAdmissibleNominal(ValueError):
 
 
 class NoInteriorWindow(ValueError):
-    """No interior window exists along the nominal trajectory (inconclusive)."""
+    """No interior window exists along the nominal trajectory (inconclusive).
+
+    Carries the simulated nominal triple and the static kernel dimension rho,
+    so that a caller can test boundary residence without simulating again.
+    """
+
+    def __init__(self, message: str, nominal: TrajectoryTriple, rho: int):
+        super().__init__(message)
+        self.nominal = nominal
+        self.rho = rho
 
 
 class VerificationFailed(RuntimeError):
@@ -223,16 +232,22 @@ def verify_increment(sys: SystemQuadruple, u_set: ConstraintSet, x_set: Constrai
     """
     if not u.same_grid(u_tilde):
         raise GridMismatch("nominal input and increment must share one grid")
-    nominal = simulate(sys, x0, u)
-    zero0 = np.zeros(sys.n)
-    inc = simulate(sys, zero0, u_tilde)
+    return _verify(sys, u_set, x_set, simulate(sys, x0, u), u_tilde, tol, membership_tol)
+
+
+def _verify(sys: SystemQuadruple, u_set: ConstraintSet, x_set: ConstraintSet,
+            nominal: TrajectoryTriple, u_tilde: SampledSignal,
+            tol: float, membership_tol: float) -> IncrementCheck:
+    """`verify_increment` on an already simulated nominal triple."""
+    u = nominal.u
+    inc = simulate(sys, np.zeros(sys.n), u_tilde)
     y_sup = float(np.max(np.abs(inc.y.values)))
     shifted = TrajectoryTriple(
         u=SampledSignal(u.t0, u.dt, u.values + u_tilde.values, u.interpolation),
         x=SampledSignal(u.t0, u.dt, nominal.x.values + inc.x.values,
                         Interpolation.PIECEWISE_LINEAR),
         y=SampledSignal(u.t0, u.dt, nominal.y.values + inc.y.values, u.interpolation),
-        x0=np.asarray(x0, dtype=float),
+        x0=nominal.x0,
     )
     adm = check_admissible(shifted, u_set, x_set, membership_tol)
     return IncrementCheck(
@@ -253,8 +268,9 @@ def certify_ir_pair(sys: SystemQuadruple, u_set: ConstraintSet, x_set: Constrain
     Simulates the nominal trajectory, finds the widest interior window along
     it, synthesizes the route matching the static kernel dimension (bump when
     positive, state loop otherwise), scales by the observed margins and
-    verifies the result by simulation.  A missing window raises
-    NoInteriorWindow and is inconclusive; it does not prove non-redundancy.
+    verifies the result by simulation, reusing the nominal triple.  A missing
+    window raises NoInteriorWindow and is inconclusive; it does not prove
+    non-redundancy.
     """
     rho = joint_kernel_dim(sys.B, sys.D)
     nominal = simulate(sys, x0, u_nominal)
@@ -266,7 +282,8 @@ def certify_ir_pair(sys: SystemQuadruple, u_set: ConstraintSet, x_set: Constrain
     win = interior_window(nominal, u_set, x_set, rho, membership_tol)
     if win is None:
         raise NoInteriorWindow(
-            "no interior window along the nominal trajectory; result inconclusive"
+            "no interior window along the nominal trajectory; result inconclusive",
+            nominal, rho,
         )
     grid = u_nominal.grid
     window = (win.t1, win.t2)
@@ -280,8 +297,7 @@ def certify_ir_pair(sys: SystemQuadruple, u_set: ConstraintSet, x_set: Constrain
         route = StateLoop(x_peak=x_hat.values[imid].copy(), t_mid=float(grid.times()[imid]))
     alpha = compute_scaling(win.r_u_min, win.r_x_min, u_hat, x_hat, rho, safety)
     u_tilde = u_hat.scaled(alpha)
-    check = verify_increment(sys, u_set, x_set, x0, u_nominal, u_tilde,
-                             tol=tol, membership_tol=membership_tol)
+    check = _verify(sys, u_set, x_set, nominal, u_tilde, tol, membership_tol)
     if not check.ok:
         raise VerificationFailed(check)
     return IRCertificate(

@@ -269,56 +269,66 @@ def _classify(margin: float, tol: float) -> Membership:
     return Membership(Status.BOUNDARY, 0.0)
 
 
-def membership(cs: ConstraintSet, v: Sequence[float], tol: float = MEMBERSHIP_TOL) -> Membership:
-    """Classify a point against a constraint set, with a distance-like margin.
+def margins(cs: ConstraintSet, values: np.ndarray) -> np.ndarray:
+    """One distance-like margin per row of an (N, dim) array of points.
 
-    For boxes and polyhedra the margin is the least slack (normalized per row
-    for polyhedra); classification is against the closure, so `strict` sets
-    report Boundary for points on their frontier even though those points are
-    not members.  A point with a non-finite coordinate is never admissible:
-    it is Outside with margin -inf, whatever the set.
+    For boxes and polyhedra the margin is the least slack (infinite box
+    bounds are ignored, polyhedron rows are normalized); the whole space has
+    margin +inf, and a linear subspace has minus the distance to it, so its
+    members have margin 0 up to round-off.  A row with a non-finite
+    coordinate, or whose margin comes out NaN, has margin -inf: it is never
+    admissible.
     """
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape[0] != constraint_dim(cs):
+    V = np.asarray(values, dtype=float)
+    if V.ndim != 2 or V.shape[1] != constraint_dim(cs):
         raise DimensionMismatch("point dimension does not match constraint set")
-    if not all(map(math.isfinite, v.tolist())):
-        return Membership(Status.OUTSIDE, -math.inf)
+    finite = np.isfinite(V).all(axis=1)
+    if not finite.all():  # zeroed: lstsq rejects non-finite input
+        V = np.where(finite[:, None], V, 0.0)
     if isinstance(cs, FullSpace):
-        return Membership(Status.INTERIOR, math.inf)
-    if isinstance(cs, LinearSubspaceSet):
+        m = np.full(V.shape[0], math.inf)
+    elif isinstance(cs, LinearSubspaceSet):
         space = cs.space
         if space.is_full():
-            return Membership(Status.INTERIOR, math.inf)
-        if space.is_zero():
-            dist = float(np.linalg.norm(v))
+            m = np.full(V.shape[0], math.inf)
+        elif space.is_zero():
+            m = -np.linalg.norm(V, axis=1)
         else:
             basis = space.to_float()
-            coeff, *_ = np.linalg.lstsq(basis, v, rcond=None)
-            dist = float(np.linalg.norm(v - basis @ coeff))
-        if dist <= tol:
-            return Membership(Status.BOUNDARY, 0.0)
-        return Membership(Status.OUTSIDE, -dist)
-    if isinstance(cs, Box):
+            coeff, *_ = np.linalg.lstsq(basis, V.T, rcond=None)
+            m = -np.linalg.norm(V - (basis @ coeff).T, axis=1)
+    elif isinstance(cs, Box):
         lo = np.asarray(cs.lower)
         up = np.asarray(cs.upper)
         slacks = np.concatenate([
-            np.where(np.isinf(lo), math.inf, v - lo),
-            np.where(np.isinf(up), math.inf, up - v),
-        ])
-        return _classify(float(np.min(slacks)), tol)
-    if isinstance(cs, Polyhedron):
+            np.where(np.isinf(lo), math.inf, V - lo),
+            np.where(np.isinf(up), math.inf, up - V),
+        ], axis=1)
+        m = np.min(slacks, axis=1)
+    elif isinstance(cs, Polyhedron):
         norms = np.linalg.norm(cs.G, axis=1)
-        slacks = (cs.g - cs.G @ v) / norms
-        return _classify(float(np.min(slacks)), tol)
-    raise TypeError(f"unknown constraint set {type(cs).__name__}")
+        m = np.min((cs.g - V @ cs.G.T) / norms, axis=1)
+    else:
+        raise TypeError(f"unknown constraint set {type(cs).__name__}")
+    m[~finite | np.isnan(m)] = -math.inf
+    return m
 
 
-def _in_set(m: Membership, strict: bool) -> bool:
-    if m.status is Status.OUTSIDE:
-        return False
-    if m.status is Status.BOUNDARY and strict:
-        return False
-    return True
+def membership(cs: ConstraintSet, v: Sequence[float], tol: float = MEMBERSHIP_TOL) -> Membership:
+    """Classify a point against a constraint set by its `margins` value.
+
+    Classification is against the closure, so `strict` sets report Boundary
+    for points on their frontier even though those points are not members,
+    and members of a proper subspace are Boundary points.  A point with a
+    non-finite coordinate is Outside with margin -inf, whatever the set.
+    """
+    v = np.asarray(v, dtype=float).reshape(-1)
+    return _classify(float(margins(cs, v[None])[0]), tol)
+
+
+def _admitted(m: np.ndarray, strict: bool, tol: float) -> np.ndarray:
+    """Nodes whose margin puts them in the set: interior, or boundary of a closed set."""
+    return m > tol if strict else m >= -tol
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +410,11 @@ class AdmissibilityResult:
 def check_admissible(triple: TrajectoryTriple, u_set: ConstraintSet, x_set: ConstraintSet,
                      tol: float = MEMBERSHIP_TOL) -> AdmissibilityResult:
     """True when (u(t), x(t)) stays in U x X at every grid node."""
-    times = triple.u.times()
-    su, sx = is_strict(u_set), is_strict(x_set)
-    for k, t in enumerate(times):
-        if not _in_set(membership(u_set, triple.u.values[k], tol), su):
-            return AdmissibilityResult(False, float(t))
-        if not _in_set(membership(x_set, triple.x.values[k], tol), sx):
-            return AdmissibilityResult(False, float(t))
-    return AdmissibilityResult(True, None)
+    ok = (_admitted(margins(u_set, triple.u.values), is_strict(u_set), tol)
+          & _admitted(margins(x_set, triple.x.values), is_strict(x_set), tol))
+    if ok.all():
+        return AdmissibilityResult(True, None)
+    return AdmissibilityResult(False, float(triple.u.times()[np.argmin(ok)]))
 
 
 @dataclass(frozen=True)
@@ -425,39 +432,29 @@ def interior_window(triple: TrajectoryTriple, u_set: ConstraintSet, x_set: Const
     Returns the window endpoints together with the minimum margins over its
     nodes, or None when no window spanning at least two grid steps exists.
     Endpoints are grid nodes that themselves satisfy the interiority test, so
-    the reported open interval is contained in the true one.
+    the reported open interval is contained in the true one.  Of several
+    widest runs of interior nodes the first is taken.
     """
-    times = triple.u.times()
-    N = len(times)
-    ok = np.empty(N, dtype=bool)
-    mu = np.empty(N)
-    mx = np.full(N, math.inf)
-    for k in range(N):
-        m_u = membership(u_set, triple.u.values[k], tol)
-        ok[k] = m_u.status is Status.INTERIOR
-        mu[k] = m_u.margin
-        if rho == 0:
-            m_x = membership(x_set, triple.x.values[k], tol)
-            ok[k] = ok[k] and m_x.status is Status.INTERIOR
-            mx[k] = m_x.margin
-    best: Optional[tuple[int, int]] = None
-    start = None
-    for k in range(N + 1):
-        if k < N and ok[k]:
-            if start is None:
-                start = k
-        elif start is not None:
-            if best is None or (k - 1 - start) > (best[1] - best[0]):
-                best = (start, k - 1)
-            start = None
-    if best is None or best[1] - best[0] < 2:
+    mu = margins(u_set, triple.u.values)
+    ok = mu > tol
+    if rho == 0:
+        mx = margins(x_set, triple.x.values)
+        ok &= mx > tol
+    edges = np.diff(ok.astype(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(edges == 1)
+    if starts.size == 0:
         return None
-    i, j = best
+    ends = np.flatnonzero(edges == -1) - 1
+    best = int(np.argmax(ends - starts))
+    i, j = int(starts[best]), int(ends[best])
+    if j - i < 2:
+        return None
+    times = triple.u.times()
     return InteriorWindow(
         t1=float(times[i]),
         t2=float(times[j]),
         r_u_min=float(np.min(mu[i:j + 1])),
-        r_x_min=float(np.min(mx[i:j + 1])),
+        r_x_min=float(np.min(mx[i:j + 1])) if rho == 0 else math.inf,
     )
 
 
@@ -473,20 +470,21 @@ def boundary_residence(triple: TrajectoryTriple, u_set: ConstraintSet, x_set: Co
     never satisfy the test.
     """
     times = triple.u.times()
-    su, sx = is_strict(u_set), is_strict(x_set)
     half = 0.5 * triple.u.dt
-    for k, t in enumerate(times):
-        if any(abs(t - b) <= half for b in breakpoints):
-            continue
-        on_u = (not su) and membership(u_set, triple.u.values[k], tol).status is Status.BOUNDARY
-        if rho > 0:
-            if not on_u:
-                return False
-        else:
-            on_x = (not sx) and membership(x_set, triple.x.values[k], tol).status is Status.BOUNDARY
-            if not (on_u or on_x):
-                return False
-    return True
+    kept = np.ones(times.shape[0], dtype=bool)
+    for b in breakpoints:
+        kept &= ~(np.abs(times - b) <= half)
+    on = _on_boundary(u_set, triple.u.values, tol)
+    if rho == 0:
+        on |= _on_boundary(x_set, triple.x.values, tol)
+    return bool(np.all(on[kept]))
+
+
+def _on_boundary(cs: ConstraintSet, values: np.ndarray, tol: float) -> np.ndarray:
+    """Nodes on the frontier of a closed set; none for a strict one."""
+    if is_strict(cs):
+        return np.zeros(values.shape[0], dtype=bool)
+    return np.abs(margins(cs, values)) <= tol
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -201,6 +202,36 @@ def test_certify_x0_override(tmp_path, capsys):
     assert main(["certify", path, "--x0", "0.3,0.2,0.1"]) == 0
 
 
+def count_simulate_calls(monkeypatch):
+    """Count the simulations made through the CLI's and synthesis' bindings."""
+    import inred.cli
+    import inred.synthesis
+
+    calls = []
+    for module in (inred.synthesis, inred.cli):
+        def counted(*args, _original=module.simulate, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, "simulate", counted)
+    return calls
+
+
+def test_certified_op_simulates_the_nominal_once(tmp_path, capsys, monkeypatch):
+    # one nominal simulation, one for the increment
+    calls = count_simulate_calls(monkeypatch)
+    obj = buck_certify_scenario(ramp_values().tolist(), [0.2, 0.1, 0.3])
+    assert main(["certify", write(tmp_path, "buck_certify.json", obj)]) == 0
+    assert len(calls) == 2
+
+
+def test_inconclusive_boundary_check_reuses_the_nominal(tmp_path, capsys, monkeypatch):
+    calls = count_simulate_calls(monkeypatch)
+    obj = buck_certify_scenario(np.zeros((2001, 2)).tolist(), [0.0, 0.0, 0.0])
+    assert main(["certify", write(tmp_path, "buck_zero.json", obj), "--check-boundary"]) == 4
+    assert json.loads(capsys.readouterr().out)["boundary_residence"] is True
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -322,6 +353,90 @@ def test_malformed_scenario_block_is_a_parse_error(tmp_path, capsys, block):
     path = write(tmp_path, "malformed.json", obj)
     assert main(["simulate", path]) == 3
     assert "must be an object" in capsys.readouterr().err
+
+
+SMALL_SIMULATE = {
+    "system": {"A": [[-1]], "B": [[1]], "C": [[1]], "D": [[0]]},
+    "constraints": {"u": {"type": "box", "lower": [-1], "upper": [1]}, "x": {"type": "full"}},
+    "scenario": {"x0": [0.0], "signals": {"z": signal_obj([[0.0], [0.5], [0.0]], dt=0.1)}},
+}
+
+
+def write_with_literal(tmp_path, obj, literal):
+    """Write obj as JSON with the string "LITERAL" replaced by a raw number
+    literal that json.dumps cannot produce from a float."""
+    path = tmp_path / "literal.json"
+    path.write_text(json.dumps(obj).replace('"LITERAL"', literal))
+    return str(path)
+
+
+@pytest.mark.parametrize("where", ["sample", "x0", "box_upper", "polyhedron_G", "polyhedron_g"])
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "9" * 400, "1e9999999999999999999",
+                                     "1" * 5000],
+                         ids=["1e400", "-1e400", "400-digit", "huge-exponent", "5000-digit"])
+def test_number_outside_the_float_range_is_a_parse_error(tmp_path, capsys, where, literal):
+    obj = json.loads(json.dumps(SMALL_SIMULATE))
+    scen = obj["scenario"]
+    if where == "sample":
+        scen["signals"]["z"]["values"][1] = ["LITERAL"]
+    elif where == "x0":
+        scen["x0"] = ["LITERAL"]
+    elif where == "box_upper":
+        obj["constraints"]["u"]["upper"] = ["LITERAL"]
+    else:
+        poly = {"type": "polyhedron", "G": [[1.0]], "g": [1.0]}
+        if where == "polyhedron_G":
+            poly["G"] = [["LITERAL"]]
+        else:
+            poly["g"] = ["LITERAL"]
+        obj["constraints"]["u"] = poly
+    path = write_with_literal(tmp_path, obj, literal)
+    assert main(["simulate", path]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_negative_zero_literal_reads_as_zero(tmp_path, capsys):
+    obj = json.loads(json.dumps(SMALL_SIMULATE))
+    obj["scenario"]["signals"]["z"]["values"][1] = ["LITERAL"]
+    assert main(["simulate", write_with_literal(tmp_path, obj, "-0.0")]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()[:4]))
+    assert rows[2][1] == "0.0"
+
+
+def test_decimal_matrix_literal_is_exact(tmp_path):
+    obj = json.loads(json.dumps(SMALL_SIMULATE))
+    obj["system"]["A"] = [["LITERAL"]]
+    scenario = load_scenario(write_with_literal(tmp_path, obj, "-0.1"))
+    assert scenario.system.A.entries[0][0] == Fraction(-1, 10)
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("simulate", "input", ["z"]),
+    ("simulate", "input", 3),
+    ("simulate", "nominal", ["z"]),
+    ("certify", "nominal", ["z"]),
+    ("certify", "nominal", {"name": "z"}),
+])
+def test_non_string_signal_name_is_a_parse_error(tmp_path, capsys, command, key, value):
+    obj = json.loads(json.dumps(SMALL_SIMULATE))
+    obj["scenario"][key] = value
+    path = write(tmp_path, "name.json", obj)
+    assert main([command, path]) == 3
+    err = capsys.readouterr().err
+    assert f"scenario.{key}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("strict", ["no", "false", 1, 0, None])
+@pytest.mark.parametrize("kind", ["box", "polyhedron"])
+def test_non_boolean_strict_is_a_parse_error(tmp_path, capsys, strict, kind):
+    obj = json.loads(json.dumps(SMALL_SIMULATE))
+    if kind == "polyhedron":
+        obj["constraints"]["u"] = {"type": "polyhedron", "G": [[1.0]], "g": [1.0]}
+    obj["constraints"]["u"]["strict"] = strict
+    path = write(tmp_path, "strict.json", obj)
+    assert main(["simulate", path]) == 3
+    err = capsys.readouterr().err
+    assert "constraints.u.strict" in err and "Traceback" not in err
 
 
 def test_boolean_matrix_entry_is_a_parse_error(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,17 @@ def test_as_fraction_rejects_floats():
 def test_as_fraction_rejects_booleans(value):
     with pytest.raises(TypeError):
         as_fraction(value)
+
+
+@pytest.mark.parametrize("literal", ["0.1", "-0.0", "1e-30", "123456789.987654321e40", "7"])
+def test_as_fraction_of_a_decimal_is_exact(literal):
+    assert as_fraction(Decimal(literal)) == Fraction(literal)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "sNaN"])
+def test_as_fraction_rejects_non_finite_decimals(literal):
+    with pytest.raises(ValueError):
+        as_fraction(Decimal(literal))
 
 
 def test_string_round_trip():

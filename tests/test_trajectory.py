@@ -3,17 +3,24 @@
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inred.exact import DimensionMismatch, Subspace
 from inred.trajectory import (
+    MEMBERSHIP_TOL,
+    AdmissibilityResult,
     Box,
     FullSpace,
     Grid,
+    InteriorWindow,
     Interpolation,
     LinearSubspaceSet,
+    Membership,
     Polyhedron,
     SampledSignal,
     Status,
@@ -22,6 +29,8 @@ from inred.trajectory import (
     check_admissible,
     compare_triples,
     interior_window,
+    is_strict,
+    margins,
     membership,
     simulate,
 )
@@ -363,3 +372,319 @@ def test_triple_grid_mismatch_rejected(integrator):
     x = SampledSignal(0, 0.2, np.zeros((5, 1)))
     with pytest.raises(Exception):
         TrajectoryTriple(u=u, x=x, y=u, x0=np.zeros(1))
+
+
+# ---------------------------------------------------------------------------
+# array checks against the per-node reference
+#
+# The functions below are the per-point membership and the three per-node
+# loops that `margins` replaced, kept verbatim as the reference.
+
+
+def _classify_pointwise(margin, tol):
+    if margin > tol:
+        return Membership(Status.INTERIOR, margin)
+    if margin < -tol:
+        return Membership(Status.OUTSIDE, margin)
+    return Membership(Status.BOUNDARY, 0.0)
+
+
+def membership_pointwise(cs, v, tol=MEMBERSHIP_TOL):
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if not all(map(math.isfinite, v.tolist())):
+        return Membership(Status.OUTSIDE, -math.inf)
+    if isinstance(cs, FullSpace):
+        return Membership(Status.INTERIOR, math.inf)
+    if isinstance(cs, LinearSubspaceSet):
+        space = cs.space
+        if space.is_full():
+            return Membership(Status.INTERIOR, math.inf)
+        if space.is_zero():
+            dist = float(np.linalg.norm(v))
+        else:
+            basis = space.to_float()
+            coeff, *_ = np.linalg.lstsq(basis, v, rcond=None)
+            dist = float(np.linalg.norm(v - basis @ coeff))
+        if dist <= tol:
+            return Membership(Status.BOUNDARY, 0.0)
+        return Membership(Status.OUTSIDE, -dist)
+    if isinstance(cs, Box):
+        lo = np.asarray(cs.lower)
+        up = np.asarray(cs.upper)
+        slacks = np.concatenate([
+            np.where(np.isinf(lo), math.inf, v - lo),
+            np.where(np.isinf(up), math.inf, up - v),
+        ])
+        return _classify_pointwise(float(np.min(slacks)), tol)
+    norms = np.linalg.norm(cs.G, axis=1)
+    slacks = (cs.g - cs.G @ v) / norms
+    return _classify_pointwise(float(np.min(slacks)), tol)
+
+
+def _in_set_pointwise(m, strict):
+    if m.status is Status.OUTSIDE:
+        return False
+    if m.status is Status.BOUNDARY and strict:
+        return False
+    return True
+
+
+def check_admissible_pointwise(triple, u_set, x_set, tol=MEMBERSHIP_TOL):
+    times = triple.u.times()
+    su, sx = is_strict(u_set), is_strict(x_set)
+    for k, t in enumerate(times):
+        if not _in_set_pointwise(membership_pointwise(u_set, triple.u.values[k], tol), su):
+            return AdmissibilityResult(False, float(t))
+        if not _in_set_pointwise(membership_pointwise(x_set, triple.x.values[k], tol), sx):
+            return AdmissibilityResult(False, float(t))
+    return AdmissibilityResult(True, None)
+
+
+def interior_window_pointwise(triple, u_set, x_set, rho, tol=MEMBERSHIP_TOL):
+    times = triple.u.times()
+    N = len(times)
+    ok = np.empty(N, dtype=bool)
+    mu = np.empty(N)
+    mx = np.full(N, math.inf)
+    for k in range(N):
+        m_u = membership_pointwise(u_set, triple.u.values[k], tol)
+        ok[k] = m_u.status is Status.INTERIOR
+        mu[k] = m_u.margin
+        if rho == 0:
+            m_x = membership_pointwise(x_set, triple.x.values[k], tol)
+            ok[k] = ok[k] and m_x.status is Status.INTERIOR
+            mx[k] = m_x.margin
+    best: Optional[tuple[int, int]] = None
+    start = None
+    for k in range(N + 1):
+        if k < N and ok[k]:
+            if start is None:
+                start = k
+        elif start is not None:
+            if best is None or (k - 1 - start) > (best[1] - best[0]):
+                best = (start, k - 1)
+            start = None
+    if best is None or best[1] - best[0] < 2:
+        return None
+    i, j = best
+    return InteriorWindow(
+        t1=float(times[i]),
+        t2=float(times[j]),
+        r_u_min=float(np.min(mu[i:j + 1])),
+        r_x_min=float(np.min(mx[i:j + 1])),
+    )
+
+
+def boundary_residence_pointwise(triple, u_set, x_set, rho, tol=MEMBERSHIP_TOL,
+                                 breakpoints=()):
+    times = triple.u.times()
+    su, sx = is_strict(u_set), is_strict(x_set)
+    half = 0.5 * triple.u.dt
+    for k, t in enumerate(times):
+        if any(abs(t - b) <= half for b in breakpoints):
+            continue
+        on_u = (not su) and membership_pointwise(u_set, triple.u.values[k], tol).status \
+            is Status.BOUNDARY
+        if rho > 0:
+            if not on_u:
+                return False
+        else:
+            on_x = (not sx) and membership_pointwise(x_set, triple.x.values[k], tol).status \
+                is Status.BOUNDARY
+            if not (on_u or on_x):
+                return False
+    return True
+
+
+# Coordinates are drawn from the box bounds themselves, so that points sit
+# exactly on a bound, from values whose slack equals a tolerance, and from a
+# few values that repeat, so that runs of interior nodes tie in length.
+BOUNDS = (-math.inf, -1.0, 0.0, 1.0, math.inf)
+TOLERANCES = (MEMBERSHIP_TOL, 0.0, 0.25)
+COORDINATES = st.one_of(
+    st.sampled_from((-1.0, 0.0, 1.0, 0.25, 0.75, -0.75, 0.5, 2.0, 1e-9, -1e-9,
+                     1.0 - 1e-9, math.nan, math.inf, -math.inf)),
+    st.floats(-3.0, 3.0),
+)
+
+
+@st.composite
+def boxes_and_full_spaces(draw, dim):
+    if draw(st.booleans()):
+        return FullSpace(dim)
+    pairs = [sorted(draw(st.lists(st.sampled_from(BOUNDS), min_size=2, max_size=2)))
+             for _ in range(dim)]
+    return Box(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs),
+               strict=draw(st.booleans()))
+
+
+def values(draw, n, dim, elements):
+    return np.array(draw(st.lists(st.lists(elements, min_size=dim, max_size=dim),
+                                  min_size=n, max_size=n)), dtype=float).reshape(n, dim)
+
+
+@st.composite
+def sampled_triples(draw, elements=COORDINATES):
+    """(triple, u_set, x_set) on a short grid; x starts at a finite x0."""
+    n = draw(st.integers(2, 24))
+    du, dx = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dt = draw(st.sampled_from((0.1, 0.25, 1.0)))
+    u = values(draw, n, du, elements)
+    x = values(draw, n, dx, elements)
+    x[0] = np.nan_to_num(x[0], nan=0.0, posinf=1.0, neginf=-1.0)
+    triple = TrajectoryTriple(
+        u=SampledSignal(0.0, dt, u),
+        x=SampledSignal(0.0, dt, x),
+        y=SampledSignal(0.0, dt, np.zeros((n, 1))),
+        x0=x[0],
+    )
+    return triple, draw(boxes_and_full_spaces(du)), draw(boxes_and_full_spaces(dx))
+
+
+def breakpoints_on(draw, triple):
+    """Breakpoint times on nodes, between nodes and exactly half a step off."""
+    dt, n = triple.u.dt, triple.u.n_samples
+    ks = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    offsets = draw(st.lists(st.sampled_from((0.0, 0.3, 0.5, -0.5)),
+                            min_size=len(ks), max_size=len(ks)))
+    return [dt * (k + o) for k, o in zip(ks, offsets)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=sampled_triples(), rho=st.integers(0, 2),
+       tol=st.sampled_from(TOLERANCES), data=st.data())
+def test_array_checks_match_pointwise_on_boxes_and_full_spaces(case, rho, tol, data):
+    triple, u_set, x_set = case
+    for cs, vals in ((u_set, triple.u.values), (x_set, triple.x.values)):
+        # with tol = 0 the reference reports its raw margin
+        assert margins(cs, vals).tolist() == [
+            membership_pointwise(cs, v, 0.0).margin for v in vals]
+        assert [membership(cs, v, tol) for v in vals] == [
+            membership_pointwise(cs, v, tol) for v in vals]
+    assert (check_admissible(triple, u_set, x_set, tol)
+            == check_admissible_pointwise(triple, u_set, x_set, tol))
+    assert (interior_window(triple, u_set, x_set, rho, tol)
+            == interior_window_pointwise(triple, u_set, x_set, rho, tol))
+    breakpoints = breakpoints_on(data.draw, triple)
+    assert (boundary_residence(triple, u_set, x_set, rho, tol, breakpoints)
+            == boundary_residence_pointwise(triple, u_set, x_set, rho, tol, breakpoints))
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+@pytest.mark.parametrize("strict", [False, True])
+def test_margin_equal_to_tol_is_boundary(tol, strict):
+    # a margin of exactly tol is Boundary: admitted by the closed set only
+    u = np.array([[0.5], [tol], [0.5]])
+    triple = TrajectoryTriple(u=SampledSignal(0.0, 1.0, u), x=SampledSignal(0.0, 1.0, u),
+                              y=SampledSignal(0.0, 1.0, u), x0=u[0])
+    box = Box((0.0,), (1.0,), strict=strict)
+    assert membership(box, [tol], tol).status is Status.BOUNDARY
+    adm = check_admissible(triple, box, FullSpace(1), tol)
+    assert adm == check_admissible_pointwise(triple, box, FullSpace(1), tol)
+    assert adm.ok is not strict
+
+
+def test_interior_window_takes_the_first_of_equally_long_runs():
+    ok = [1, 1, 1, 0, 1, 1, 1, 0, 1, 1]
+    u = np.array(ok, dtype=float)[:, None]
+    triple = TrajectoryTriple(u=SampledSignal(0.0, 1.0, u), x=SampledSignal(0.0, 1.0, u),
+                              y=SampledSignal(0.0, 1.0, u), x0=u[0])
+    win = interior_window(triple, Box((0.5,), (math.inf,)), FullSpace(1), rho=1)
+    assert (win.t1, win.t2) == (0.0, 2.0)
+    assert win == interior_window_pointwise(triple, Box((0.5,), (math.inf,)), FullSpace(1), 1)
+
+
+@st.composite
+def polyhedra_and_subspaces(draw, dim):
+    kind = draw(st.sampled_from(("polyhedron", "subspace", "zero", "full")))
+    if kind == "polyhedron":
+        rows = draw(st.integers(1, 4))
+        G = values(draw, rows, dim, st.floats(-2.0, 2.0))
+        G[np.linalg.norm(G, axis=1) == 0, 0] = 1.0
+        return Polyhedron(G, values(draw, rows, 1, st.floats(-2.0, 2.0)).ravel(),
+                          strict=draw(st.booleans()))
+    if kind == "zero":
+        return LinearSubspaceSet(Subspace.from_vectors(dim, []))
+    if kind == "full":
+        return LinearSubspaceSet(Subspace.full(dim))
+    k = draw(st.integers(1, dim))
+    span = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+                         min_size=k, max_size=k))
+    return LinearSubspaceSet(Subspace.from_vectors(dim, span))
+
+
+POLY_COORDINATES = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from((0.0, 1.0, -1.0, math.nan, math.inf)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 24), dim=st.integers(1, 3), data=st.data())
+def test_polyhedron_and_subspace_margins_match_pointwise(n, dim, data):
+    # Polyhedron and subspace margins come from one matmul or one batched
+    # lstsq, which may round differently from the per-point products.
+    cs = data.draw(polyhedra_and_subspaces(dim))
+    vals = values(data.draw, n, dim, POLY_COORDINATES)
+    m = margins(cs, vals)
+    for k, v in enumerate(vals):
+        ref = membership_pointwise(cs, v, 0.0).margin
+        if math.isinf(ref):
+            assert m[k] == ref
+            continue
+        slack = 1e-12 * (1 + abs(ref))
+        assert abs(m[k] - ref) <= slack
+        for tol in (MEMBERSHIP_TOL, 0.1):
+            if min(abs(ref - tol), abs(ref + tol)) > slack:
+                assert membership(cs, v, tol).status is membership_pointwise(cs, v, tol).status
+
+
+def test_subspace_margin_is_minus_the_distance():
+    cs = LinearSubspaceSet(Subspace.from_vectors(2, [[1, -1]]))
+    m = margins(cs, np.array([[2.0, -2.0], [1.0, 0.0], [math.nan, 0.0]]))
+    assert abs(m[0]) <= 1e-15
+    assert m[1] == pytest.approx(-math.sqrt(0.5))
+    assert m[2] == -math.inf
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sampled_triples(POLY_COORDINATES), rho=st.integers(0, 1), data=st.data())
+def test_array_checks_match_pointwise_on_polyhedra_and_subspaces(case, rho, data):
+    # the verdicts agree whenever no margin lies within round-off of +-tol
+    triple, _, _ = case
+    u_set = data.draw(polyhedra_and_subspaces(triple.u.dim))
+    x_set = data.draw(polyhedra_and_subspaces(triple.x.dim))
+    tol = MEMBERSHIP_TOL
+    for cs, vals in ((u_set, triple.u.values), (x_set, triple.x.values)):
+        m = margins(cs, vals)
+        finite = m[np.isfinite(m)]
+        slack = 1e-12 * (1 + np.abs(finite))
+        if np.any(np.minimum(np.abs(finite - tol), np.abs(finite + tol)) <= slack):
+            return
+    assert (check_admissible(triple, u_set, x_set, tol)
+            == check_admissible_pointwise(triple, u_set, x_set, tol))
+    win = interior_window(triple, u_set, x_set, rho, tol)
+    ref = interior_window_pointwise(triple, u_set, x_set, rho, tol)
+    assert (win is None) == (ref is None)
+    if win is not None:
+        assert (win.t1, win.t2) == (ref.t1, ref.t2)
+        for a, b in ((win.r_u_min, ref.r_u_min), (win.r_x_min, ref.r_x_min)):
+            assert a == b or abs(a - b) <= 1e-12 * (1 + abs(b))
+    assert (boundary_residence(triple, u_set, x_set, rho, tol)
+            == boundary_residence_pointwise(triple, u_set, x_set, rho, tol))
+
+
+def test_margins_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        margins(Box((0,), (1,)), np.zeros((4, 2)))
+    with pytest.raises(DimensionMismatch):
+        margins(FullSpace(2), np.zeros(2))
+
+
+def test_margins_of_non_finite_rows_are_minus_infinity():
+    vals = np.array([[0.5, 0.5], [math.nan, 0.5], [0.5, -math.inf], [1.0, 0.0]])
+    for cs in (FullSpace(2), Box((0, 0), (1, 1)), Polyhedron([[1.0, 1.0]], [1.0]),
+               LinearSubspaceSet(Subspace.from_vectors(2, [[1, 0]]))):
+        m = margins(cs, vals)
+        assert m[1] == m[2] == -math.inf
+        assert m[0] > -math.inf and m[3] > -math.inf
