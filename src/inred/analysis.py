@@ -2,8 +2,10 @@
 
 Given a quadruple and linear input/state constraint sets, this module decides
 whether the constrained system is input redundant, of which kind, and with
-what degree, and cross-checks the geometric route against exact normal-rank
-tests of the transfer and system matrices.  All decisions are exact.
+what degree.  Each verdict is then proven once by an exact witness: an
+output-nulling feedback that produces a nonzero input with zero output for
+an input-redundant system, a point where the system matrix has full column
+rank for one that is not.  All decisions are exact and deterministic.
 
 Kinds: an input-redundant system is of the 1st kind when distinct inputs
 producing one output force equal state trajectories, of the 2nd kind when
@@ -14,15 +16,14 @@ every admissible pair, so "uniform" simply mirrors the kind being set.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from fractions import Fraction
 from typing import Optional
 
 from .exact import DimensionMismatch, RationalMatrix, Subspace, kernel
 from .geometry import (
     DegenerateStateSpace,
+    OutputNulling,
     PinnedBases,
     SystemQuadruple,
     output_nulling,
@@ -31,7 +32,7 @@ from .geometry import (
 
 
 class ConsistencyError(RuntimeError):
-    """Independent classification routes disagree; results cannot be trusted."""
+    """A verdict's exact witness fails to check; results cannot be trusted."""
 
 
 class Kind(str, Enum):
@@ -87,10 +88,8 @@ def joint_kernel_dim(B: RationalMatrix, D: RationalMatrix) -> int:
     return kernel(RationalMatrix.vstack(B, D)).dim
 
 
-def degree_and_kind(sys: SystemQuadruple) -> RedundancyReport:
-    """Classify an unconstrained quadruple (geometric route, exact)."""
+def _classify(sys: SystemQuadruple, on: OutputNulling) -> RedundancyReport:
     rho = joint_kernel_dim(sys.B, sys.D)
-    on = output_nulling(sys)
     nu = on.N.dim - rho
     kind = kind_of(rho, nu)
     return RedundancyReport(
@@ -100,61 +99,46 @@ def degree_and_kind(sys: SystemQuadruple) -> RedundancyReport:
     )
 
 
-_SAMPLE_BOUND = 10 ** 6
+def degree_and_kind(sys: SystemQuadruple) -> RedundancyReport:
+    """Classify an unconstrained quadruple (geometric route, exact)."""
+    return _classify(sys, output_nulling(sys))
 
 
-def _sample_points(sys: SystemQuadruple, count: int, rng: random.Random) -> list[Fraction]:
-    """Random rational frequencies, exactly rejected against the spectrum of A."""
-    points: list[Fraction] = []
-    n = sys.n
-    eye = RationalMatrix.identity(n)
-    attempts = 0
-    while len(points) < count:
-        attempts += 1
-        if attempts > 100 * count:
-            raise ConsistencyError("could not sample non-singular frequencies")
-        s = Fraction(rng.randint(1, _SAMPLE_BOUND), rng.randint(1, _SAMPLE_BOUND))
-        if rng.random() < 0.5:
-            s = -s
-        if s in points:
-            continue
-        if (eye.scaled(s) - sys.A).rank() == n:
-            points.append(s)
-    return points
-
-
-def left_invertibility(sys: SystemQuadruple, samples: int = 3,
-                       seed: int = 20240) -> tuple[bool, bool]:
+def left_invertibility(sys: SystemQuadruple) -> tuple[bool, bool]:
     """(transfer matrix left-invertible, system matrix left-invertible).
 
-    Normal ranks are evaluated exactly at random rational frequencies away
-    from the spectrum of A.  Rank deficiency of a rational-function matrix is
-    a Zariski-closed condition, so the maximum over independent samples gives
-    the normal rank except on a measure-zero set of draws; the two routes are
-    compared and a disagreement raises instead of being resolved silently.
+    Decided exactly by ranking P(s) = [sI - A, -B; C, D] at s = 0, 1, ..., n,
+    stopping at the first point of full column rank n + m.  Every maximal
+    minor of P(s) is a polynomial of degree at most n, so a nonzero one
+    vanishes at no more than n of these points: the scan finds the normal
+    rank.  The normal rank of P is n plus that of G(s) = C(sI - A)^{-1}B + D
+    (Rosenbrock 1970), so both entries are the same answer.
     """
-    rng = random.Random(seed)
     n, m = sys.n, sys.m
-    eye = RationalMatrix.identity(n)
-    rank_p = 0
-    rank_g = 0
-    for s in _sample_points(sys, samples, rng):
-        s_minus_a = eye.scaled(s) - sys.A
-        p_mat = RationalMatrix.vstack(
-            RationalMatrix.hstack(s_minus_a, -sys.B),
-            RationalMatrix.hstack(sys.C, sys.D),
-        )
-        rank_p = max(rank_p, p_mat.rank())
-        x = s_minus_a.solve_columns(sys.B)
-        assert x is not None  # s was rejected against the spectrum
-        rank_g = max(rank_g, (sys.C @ x + sys.D).rank())
-    p_invertible = rank_p == n + m
-    g_invertible = rank_g == m
-    if p_invertible != g_invertible:
-        raise ConsistencyError(
-            "normal-rank sampling disagrees between system and transfer matrices"
-        )
-    return g_invertible, p_invertible
+    shift = RationalMatrix.hstack(RationalMatrix.identity(n), RationalMatrix.zeros(n, m))
+    pencil = RationalMatrix.hstack(sys.A, sys.B)
+    lower = RationalMatrix.hstack(sys.C, sys.D)
+    invertible = any(
+        RationalMatrix.vstack(shift.scaled(s) - pencil, lower).rank() == n + m
+        for s in range(n + 1)
+    )
+    return invertible, invertible
+
+
+def _check_ir_witness(sys: SystemQuadruple, on: OutputNulling) -> None:
+    """Raise unless the output-nulling record proves input redundancy.
+
+    With L a basis of N: if L != 0, D L = 0, (C + D F) V = 0 and both
+    (A + B F) V and B L lie in V, then u = F x + L w from x0 = 0 keeps x in V
+    and y at zero, and any w != 0 gives a nonzero such input (Trentelman,
+    Stoorvogel and Hautus 2001, ch. 7).
+    """
+    L, T = on.N.basis, on.V.basis
+    moved = RationalMatrix.hstack((sys.A + sys.B @ on.F) @ T, sys.B @ L)
+    if (L.cols == 0 or not (sys.D @ L).is_zero()
+            or not ((sys.C + sys.D @ on.F) @ T).is_zero()
+            or T.solve_columns(moved) is None):
+        raise ConsistencyError("the output-nulling record does not prove input redundancy")
 
 
 def analyze_degenerate(sys: SystemQuadruple, u_set: Subspace) -> RedundancyReport:
@@ -176,7 +160,6 @@ def analyze_degenerate(sys: SystemQuadruple, u_set: Subspace) -> RedundancyRepor
         kind=kind, degree=(rho, 0), uniform=kind is not Kind.NOT_IR,
         l=0,
         left_invertible_G=invertible, left_invertible_P=invertible,
-        consistency_flags={},
     )
 
 
@@ -185,7 +168,8 @@ def analyze(sys: SystemQuadruple, u_set: Subspace, x_set: Subspace,
     """Full classification of a linearly constrained system.
 
     Reduces the constrained dynamics to an equivalent unconstrained system,
-    classifies it geometrically, cross-checks against exact normal-rank tests,
+    classifies it geometrically, proves the verdict with one exact witness
+    (the output-nulling record if redundant, `left_invertibility` if not),
     and records named consistency checks (kind preservation from the
     unconstrained system, the nu/controllable-subspace equivalence, and
     transfer/system matrix agreement).
@@ -194,8 +178,13 @@ def analyze(sys: SystemQuadruple, u_set: Subspace, x_set: Subspace,
         bundle = reduce_system(sys, u_set, x_set, pinned=pinned)
     except DegenerateStateSpace:
         return analyze_degenerate(sys, u_set)
-    base = degree_and_kind(bundle.sys)
-    g_inv, p_inv = left_invertibility(bundle.sys)
+    on = output_nulling(bundle.sys)
+    base = _classify(bundle.sys, on)
+    if base.is_ir:
+        _check_ir_witness(bundle.sys, on)
+        g_inv = p_inv = False
+    else:
+        g_inv, p_inv = left_invertibility(bundle.sys)
     unconstrained = degree_and_kind(sys)
 
     flags = {
@@ -208,16 +197,9 @@ def analyze(sys: SystemQuadruple, u_set: Subspace, x_set: Subspace,
         ),
     }
     if not flags["rank_test_matches_degree"]:
-        raise ConsistencyError(
-            "normal-rank route disagrees with the exact degree computation"
-        )
-    return RedundancyReport(
-        rho=base.rho, nu=base.nu, N=base.N, dim_V=base.dim_V, dim_R=base.dim_R,
-        kind=base.kind, degree=base.degree, uniform=base.uniform,
-        l=bundle.l,
-        left_invertible_G=g_inv, left_invertible_P=p_inv,
-        consistency_flags=flags,
-    )
+        raise ConsistencyError("normal-rank route disagrees with the exact degree computation")
+    return replace(base, left_invertible_G=g_inv, left_invertible_P=p_inv,
+                   consistency_flags=flags)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .scenario import (
     NonLinearConstraints,
     Scenario,
     ScenarioError,
-    dump_scenario,
     load_scenario,
     require_linear,
     signal_to_obj,

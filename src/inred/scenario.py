@@ -35,6 +35,9 @@ from .trajectory import (
 )
 
 
+MAX_EXPONENT = 10_000  # largest |e| of a rational literal written as digits x 10^e
+
+
 class ScenarioError(ValueError):
     """The scenario file is structurally invalid."""
 
@@ -72,9 +75,10 @@ def _object(obj: Any, context: str) -> dict:
 def _rational_matrix(obj: Any, context: str) -> RationalMatrix:
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise ScenarioError(f"{context} must be a list of rows")
+    rows = [[_as_rational(x, context) for x in row] for row in obj]
     try:
-        return RationalMatrix.from_rows(obj)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        return RationalMatrix.from_rows(rows)
+    except ValueError as exc:  # rows of unequal length
         raise ScenarioError(f"bad rational entry in {context}: {exc}") from exc
 
 
@@ -153,10 +157,16 @@ def _name(scen: dict, key: str) -> Optional[str]:
 
 
 def _as_rational(x: Any, context: str) -> Fraction:
+    """x as an exact rational; a decimal literal with |e| > MAX_EXPONENT is
+    refused before it becomes an integer of about 3.3 |e| bits."""
     try:
-        return as_fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        d = Decimal(x) if isinstance(x, str) and "/" not in x else x
+        if not (isinstance(d, Decimal) and d.is_finite()
+                and abs(d.as_tuple().exponent) > MAX_EXPONENT):
+            return as_fraction(x)
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ScenarioError(f"bad rational in {context}: {x!r}") from exc
+    raise ScenarioError(f"bad rational in {context}: exponent beyond +-{MAX_EXPONENT}")
 
 
 def _signal(obj: Any, context: str) -> SampledSignal:
@@ -184,9 +194,10 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     text = Path(path).read_text()
     try:
         raw = json.loads(text, parse_float=Decimal)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, RecursionError) as exc:
         # ValueError: bad syntax or an over-long integer literal;
-        # ArithmeticError: a decimal exponent Decimal cannot represent
+        # ArithmeticError: a decimal exponent Decimal cannot represent;
+        # RecursionError: nesting deeper than the decoder's recursion limit
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: top level must be an object")

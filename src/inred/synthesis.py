@@ -27,7 +27,6 @@ from .trajectory import (
     Grid,
     GridMismatch,
     Interpolation,
-    MEMBERSHIP_TOL,
     SIGNAL_TOL,
     SampledSignal,
     TrajectoryTriple,
@@ -35,6 +34,9 @@ from .trajectory import (
     interior_window,
     simulate,
 )
+
+
+SAFETY = 0.9  # share of the margin an increment may use; the rest covers inter-node excursions
 
 
 class RhoZero(ValueError):
@@ -196,12 +198,12 @@ def synthesize_state_loop(sys: SystemQuadruple, window: tuple[float, float],
 
 def compute_scaling(r_u_min: float, r_x_min: Optional[float],
                     u_hat: SampledSignal, x_hat: Optional[SampledSignal],
-                    rho: int, safety: float = 0.9) -> float:
+                    rho: int) -> float:
     """Largest safe scale: margin over peak increment size, per signal.
 
-    For rho = 0 the state excursion must fit its margin as well.  The safety
-    factor absorbs inter-node excursions the grid cannot see.  When every
-    margin is infinite any positive scale works and 1.0 is returned.
+    For rho = 0 the state excursion must fit its margin as well.  The result
+    is SAFETY times the largest scale.  When every margin is infinite any
+    positive scale works and 1.0 is returned.
     """
     if not r_u_min > 0:
         raise ZeroMargin("input margin must be strictly positive")
@@ -217,13 +219,12 @@ def compute_scaling(r_u_min: float, r_x_min: Optional[float],
     alpha = min(candidates)
     if math.isinf(alpha):
         return 1.0
-    return safety * alpha
+    return SAFETY * alpha
 
 
 def verify_increment(sys: SystemQuadruple, u_set: ConstraintSet, x_set: ConstraintSet,
                      x0: Sequence[float], u: SampledSignal, u_tilde: SampledSignal,
-                     tol: float = SIGNAL_TOL,
-                     membership_tol: float = MEMBERSHIP_TOL) -> IncrementCheck:
+                     tol: float = SIGNAL_TOL) -> IncrementCheck:
     """Check that u + u_tilde stays admissible and leaves the output unchanged.
 
     The increment responses are simulated from the zero state; membership in
@@ -232,12 +233,12 @@ def verify_increment(sys: SystemQuadruple, u_set: ConstraintSet, x_set: Constrai
     """
     if not u.same_grid(u_tilde):
         raise GridMismatch("nominal input and increment must share one grid")
-    return _verify(sys, u_set, x_set, simulate(sys, x0, u), u_tilde, tol, membership_tol)
+    return _verify(sys, u_set, x_set, simulate(sys, x0, u), u_tilde, tol)
 
 
 def _verify(sys: SystemQuadruple, u_set: ConstraintSet, x_set: ConstraintSet,
             nominal: TrajectoryTriple, u_tilde: SampledSignal,
-            tol: float, membership_tol: float) -> IncrementCheck:
+            tol: float) -> IncrementCheck:
     """`verify_increment` on an already simulated nominal triple."""
     u = nominal.u
     inc = simulate(sys, np.zeros(sys.n), u_tilde)
@@ -249,7 +250,7 @@ def _verify(sys: SystemQuadruple, u_set: ConstraintSet, x_set: ConstraintSet,
         y=SampledSignal(u.t0, u.dt, nominal.y.values + inc.y.values, u.interpolation),
         x0=nominal.x0,
     )
-    adm = check_admissible(shifted, u_set, x_set, membership_tol)
+    adm = check_admissible(shifted, u_set, x_set)
     return IncrementCheck(
         ok=(y_sup <= tol) and adm.ok,
         y_sup_diff=y_sup,
@@ -260,9 +261,7 @@ def _verify(sys: SystemQuadruple, u_set: ConstraintSet, x_set: ConstraintSet,
 
 def certify_ir_pair(sys: SystemQuadruple, u_set: ConstraintSet, x_set: ConstraintSet,
                     x0: Sequence[float], u_nominal: SampledSignal,
-                    tol: float = SIGNAL_TOL,
-                    membership_tol: float = MEMBERSHIP_TOL,
-                    safety: float = 0.9) -> IRCertificate:
+                    tol: float = SIGNAL_TOL) -> IRCertificate:
     """Certify that (x0, output of u_nominal) is an input-redundant pair.
 
     Simulates the nominal trajectory, finds the widest interior window along
@@ -274,12 +273,12 @@ def certify_ir_pair(sys: SystemQuadruple, u_set: ConstraintSet, x_set: Constrain
     """
     rho = joint_kernel_dim(sys.B, sys.D)
     nominal = simulate(sys, x0, u_nominal)
-    adm = check_admissible(nominal, u_set, x_set, membership_tol)
+    adm = check_admissible(nominal, u_set, x_set)
     if not adm.ok:
         raise NotAdmissibleNominal(
             f"nominal trajectory leaves the constraints at t = {adm.first_violation}"
         )
-    win = interior_window(nominal, u_set, x_set, rho, membership_tol)
+    win = interior_window(nominal, u_set, x_set, rho)
     if win is None:
         raise NoInteriorWindow(
             "no interior window along the nominal trajectory; result inconclusive",
@@ -295,9 +294,9 @@ def certify_ir_pair(sys: SystemQuadruple, u_set: ConstraintSet, x_set: Constrain
         u_hat, x_hat = synthesize_state_loop(sys, window, grid)
         imid = grid.index_of(win.t1) + (grid.index_of(win.t2) - grid.index_of(win.t1)) // 2
         route = StateLoop(x_peak=x_hat.values[imid].copy(), t_mid=float(grid.times()[imid]))
-    alpha = compute_scaling(win.r_u_min, win.r_x_min, u_hat, x_hat, rho, safety)
+    alpha = compute_scaling(win.r_u_min, win.r_x_min, u_hat, x_hat, rho)
     u_tilde = u_hat.scaled(alpha)
-    check = _verify(sys, u_set, x_set, nominal, u_tilde, tol, membership_tol)
+    check = _verify(sys, u_set, x_set, nominal, u_tilde, tol)
     if not check.ok:
         raise VerificationFailed(check)
     return IRCertificate(

@@ -5,11 +5,16 @@ from __future__ import annotations
 import json
 import random
 import sys as pysys
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from inred import geometry
+from inred import analysis, geometry
 from inred.analysis import (
+    ConsistencyError,
     Kind,
     RedundancyReport,
     analyze,
@@ -20,8 +25,8 @@ from inred.analysis import (
     report_to_dict,
     report_to_text,
 )
-from inred.exact import DimensionMismatch, RationalMatrix, Subspace, kernel
-from inred.geometry import SystemQuadruple, reduce_system
+from inred.exact import DimensionMismatch, RationalMatrix, Subspace, image, kernel
+from inred.geometry import DegenerateStateSpace, SystemQuadruple, reduce_system
 
 from conftest import random_subspace, random_system
 
@@ -113,10 +118,185 @@ def test_buck_not_left_invertible(buck):
     assert left_invertibility(sys) == (False, False)
 
 
-def test_left_invertibility_seed_independent(buck):
-    sys, _, _ = buck
-    for seed in (1, 7, 1234):
-        assert left_invertibility(sys, seed=seed) == (False, False)
+def left_invertibility_sampled(sys, samples=3, seed=20240):
+    """The former randomized decision, kept as the reference: normal ranks of
+    G(s) and P(s) at random rational frequencies off the spectrum of A."""
+    rng = random.Random(seed)
+    n, m = sys.n, sys.m
+    eye = RationalMatrix.identity(n)
+    points = []
+    while len(points) < samples:
+        s = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+        if rng.random() < 0.5:
+            s = -s
+        if s not in points and (eye.scaled(s) - sys.A).rank() == n:
+            points.append(s)
+    rank_p = rank_g = 0
+    for s in points:
+        s_minus_a = eye.scaled(s) - sys.A
+        p_mat = RationalMatrix.vstack(
+            RationalMatrix.hstack(s_minus_a, -sys.B),
+            RationalMatrix.hstack(sys.C, sys.D),
+        )
+        rank_p = max(rank_p, p_mat.rank())
+        rank_g = max(rank_g, (sys.C @ s_minus_a.solve_columns(sys.B) + sys.D).rank())
+    assert (rank_p == n + m) == (rank_g == m)
+    return rank_g == m, rank_p == n + m
+
+
+def drawn_system(seed, reduced):
+    """A conftest.random_system draw, or its reduction under random subspace
+    constraints (which may leave m = 0 inputs)."""
+    rng = random.Random(seed)
+    sys = random_system(rng, n_max=4, m_max=3, p_max=3)
+    if not reduced:
+        return sys
+    u_set = random_subspace(rng, sys.m, rng.randint(0, sys.m))
+    x_set = random_subspace(rng, sys.n, rng.randint(1, sys.n))
+    try:
+        return reduce_system(sys, u_set, x_set).sys
+    except DegenerateStateSpace:
+        return sys
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1), reduced=st.booleans())
+@example(seed=2, reduced=True)  # a reduced system with m = 0
+def test_left_invertibility_matches_sampled_reference(seed, reduced):
+    sys = drawn_system(seed, reduced)
+    assert left_invertibility(sys) == left_invertibility_sampled(sys)
+
+
+def test_left_invertibility_without_inputs():
+    # a reduction can leave m = 0: P(s) = [sI - A; C] has full rank off the spectrum
+    sys = SystemQuadruple(RationalMatrix.zeros(2, 2), RationalMatrix.zeros(2, 0),
+                          RationalMatrix.zeros(1, 2), RationalMatrix.zeros(1, 0))
+    assert left_invertibility(sys) == left_invertibility_sampled(sys) == (True, True)
+
+
+def system_matrix_rank(sys, s):
+    eye = RationalMatrix.identity(sys.n)
+    return RationalMatrix.vstack(
+        RationalMatrix.hstack(eye.scaled(s) - sys.A, -sys.B),
+        RationalMatrix.hstack(sys.C, sys.D),
+    ).rank()
+
+
+def test_left_invertibility_scans_past_invariant_zeros():
+    # G(s) = s (s - 1) / (s + 1)^3: P(s) loses rank at s = 0 and s = 1
+    sys = SystemQuadruple.from_rows(
+        [[0, 1, 0], [0, 0, 1], [-1, -3, -3]], [[0], [0], [1]], [[0, -1, 1]], [[0]])
+    assert [system_matrix_rank(sys, s) for s in (0, 1, 2)] == [3, 3, 4]
+    assert left_invertibility(sys) == (True, True)
+    assert left_invertibility_sampled(sys) == (True, True)
+
+
+def test_left_invertibility_scans_to_the_last_point():
+    # uncontrollable modes at 0, 1, 2 = n - 1: only s = n gives full rank
+    sys = SystemQuadruple.from_rows(
+        [[0, 0, 0], [0, 1, 0], [0, 0, 2]], [[0], [0], [0]], [[1, 1, 1]], [[1]])
+    assert [system_matrix_rank(sys, s) for s in range(4)] == [3, 3, 3, 4]
+    assert left_invertibility(sys) == (True, True)
+
+
+def test_left_invertibility_integer_spectrum_not_invertible():
+    # eigenvalues 0, 1, 2 and an input that never reaches the output
+    sys = SystemQuadruple.from_rows(
+        [[0, 0, 0], [0, 1, 0], [0, 0, 2]], [[0, 1], [1, 0], [0, 0]],
+        [[1, 0, 0], [0, 0, 1]], [[0, 0], [0, 0]])
+    assert left_invertibility(sys) == (False, False)
+    assert left_invertibility_sampled(sys) == (False, False)
+
+
+@pytest.mark.parametrize("B,expected", [
+    ([[1, -1]], (True, True)),   # the dynamics separate what D merges
+    ([[1, 1]], (False, False)),  # u = (1, -1) reaches neither x nor y
+])
+def test_left_invertibility_rank_deficient_feedthrough(B, expected):
+    sys = SystemQuadruple.from_rows([[0]], B, [[1], [0]], [[1, 1], [1, 1]])
+    assert left_invertibility(sys) == expected
+    assert left_invertibility_sampled(sys) == expected
+
+
+# ---------------------------------------------------------------------------
+# the exact witness behind each analyze verdict
+
+
+def count_left_invertibility(monkeypatch):
+    calls = []
+    original = analysis.left_invertibility
+
+    def counted(sys):
+        calls.append(sys)
+        return original(sys)
+
+    monkeypatch.setattr(analysis, "left_invertibility", counted)
+    return calls
+
+
+def test_analyze_proves_ir_without_a_rank_scan(monkeypatch, four_input_system,
+                                               four_input_constraints):
+    calls = count_left_invertibility(monkeypatch)
+    rep = analyze(four_input_system, *four_input_constraints)
+    assert rep.is_ir and rep.left_invertible_P is False
+    assert calls == []
+
+
+def test_analyze_proves_not_ir_with_one_rank_scan(monkeypatch, integrator):
+    calls = count_left_invertibility(monkeypatch)
+    rep = analyze(integrator, Subspace.full(1), Subspace.full(1))
+    assert not rep.is_ir and rep.left_invertible_P is True
+    assert len(calls) == 1
+
+
+def analyze_with_mutated_record(monkeypatch, sys, mutate):
+    original = geometry.output_nulling
+    monkeypatch.setattr(analysis, "output_nulling", lambda s: mutate(original(s)))
+    return analyze(sys, Subspace.full(sys.m), Subspace.full(sys.n))
+
+
+# xdot = u1 + u2, y = [x + u1 + u2; 0]: V is the whole line, F = [-1, 0]
+# nulls the output, and N = span((1, -1)) is all of ker D
+FEEDTHROUGH_IR = SystemQuadruple.from_rows([[0]], [[1, 1]], [[1], [0]], [[1, 1], [0, 0]])
+
+
+def test_unmutated_witness_passes(monkeypatch):
+    rep = analyze_with_mutated_record(monkeypatch, FEEDTHROUGH_IR, lambda on: on)
+    assert rep.kind is Kind.FIRST
+
+
+def test_witness_rejects_a_perturbed_friend(monkeypatch):
+    def mutate(on):
+        F = [list(row) for row in on.F.entries]
+        F[0][0] += 1
+        return replace(on, F=RationalMatrix.from_rows(F))
+
+    with pytest.raises(ConsistencyError):
+        analyze_with_mutated_record(monkeypatch, FEEDTHROUGH_IR, mutate)
+
+
+def test_witness_rejects_nonzero_feedthrough_on_n(monkeypatch):
+    # L = I: B L still lies in V = R, but D L != 0
+    with pytest.raises(ConsistencyError):
+        analyze_with_mutated_record(monkeypatch, FEEDTHROUGH_IR,
+                                    lambda on: replace(on, N=Subspace.full(2)))
+
+
+def test_witness_rejects_a_dropped_basis_column(monkeypatch, four_input_system):
+    def mutate(on):
+        T = on.V.basis
+        return replace(on, V=image(T.block(0, T.rows, 0, T.cols - 1)))
+
+    with pytest.raises(ConsistencyError):
+        analyze_with_mutated_record(monkeypatch, four_input_system, mutate)
+
+
+def test_witness_rejects_an_empty_n(monkeypatch, four_input_system):
+    # an IR verdict whose N is empty proves nothing
+    with pytest.raises(ConsistencyError):
+        analysis._check_ir_witness(
+            four_input_system,
+            replace(geometry.output_nulling(four_input_system), N=Subspace.zero(4)))
 
 
 # ---------------------------------------------------------------------------

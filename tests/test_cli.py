@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -408,6 +409,45 @@ def test_decimal_matrix_literal_is_exact(tmp_path):
     obj["system"]["A"] = [["LITERAL"]]
     scenario = load_scenario(write_with_literal(tmp_path, obj, "-0.1"))
     assert scenario.system.A.entries[0][0] == Fraction(-1, 10)
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    assert main(["analyze", str(path)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+SCALAR_ANALYZE = {
+    "system": {"A": [["A"]], "B": [[1]], "C": [[1]], "D": [[0]]},
+    "constraints": {"u": {"type": "full"}, "x": {"type": "subspace", "span": [["X"]]}},
+}
+
+
+def write_scalar_analyze(tmp_path, a_entry, span_entry):
+    text = json.dumps(SCALAR_ANALYZE).replace('"A"]', a_entry + "]", 1)
+    path = tmp_path / "scalar.json"
+    path.write_text(text.replace('"X"', span_entry))
+    return str(path)
+
+
+@pytest.mark.parametrize("where", ["matrix", "span"])
+@pytest.mark.parametrize("literal", ["1e1000000", '"1e1000000"', "-2.5e-1000000",
+                                     '"1e99999999999999999999"', '"1E1_000_000"'])
+def test_huge_decimal_exponent_is_a_parse_error(tmp_path, capsys, where, literal):
+    a_entry, span_entry = (literal, "1") if where == "matrix" else ("1", literal)
+    path = write_scalar_analyze(tmp_path, a_entry, span_entry)
+    start = time.perf_counter()
+    assert main(["analyze", path]) == 3
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert ("system.A" if where == "matrix" else "constraints.x") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("literal", ["1e10000", '"-1e-10000"', '"3/7"', "0.125"])
+def test_decimal_exponent_at_the_limit_is_accepted(tmp_path, literal):
+    assert main(["analyze", write_scalar_analyze(tmp_path, literal, literal)]) == 0
 
 
 @pytest.mark.parametrize("command,key,value", [

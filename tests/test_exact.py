@@ -81,6 +81,11 @@ def test_as_fraction_of_a_decimal_is_exact(literal):
     assert as_fraction(Decimal(literal)) == Fraction(literal)
 
 
+def test_as_fraction_has_no_exponent_limit():
+    # the scenario parser bounds literal exponents; library callers get exact values
+    assert as_fraction("1e20000") == as_fraction(Decimal("1e20000")) == 10 ** 20000
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "sNaN"])
 def test_as_fraction_rejects_non_finite_decimals(literal):
     with pytest.raises(ValueError):
