@@ -34,9 +34,9 @@ from .scenario import (
     load_scenario,
     require_linear,
     signal_to_obj,
+    with_overrides,
 )
 from .trajectory import (
-    Grid,
     GridMismatch,
     SampledSignal,
     boundary_residence,
@@ -62,12 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("paths", nargs="+", help="scenario JSON file(s)")
         p.add_argument("--out", help="output file (or directory with several inputs)")
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="signal-equality tolerance (default 1e-6)")
-        p.add_argument("--dt", type=float, default=None,
-                       help="resample signals to this step before running")
-        p.add_argument("--horizon", type=float, default=None,
-                       help="truncate signals to this horizon")
         p.add_argument("--jobs", type=int, default=1,
                        help="process several scenario files in parallel")
 
@@ -90,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sy = sub.add_parser("synthesize", help="raw output-invisible increment")
     common(p_sy)
-    p_sy.add_argument("--window", nargs=2, type=float, metavar=("T1", "T2"),
+    p_sy.add_argument("--window", nargs=2, metavar=("T1", "T2"),
                       help="synthesis window, overrides the file")
     p_sy.add_argument("--route", choices=("auto", "kernel", "loop"), default="auto")
     return parser
@@ -114,14 +108,6 @@ def _pick_signal(scenario: Scenario, name: Optional[str], fallback: Optional[str
     if chosen not in scenario.signals:
         raise ScenarioError(f"unknown signal {chosen!r}")
     return scenario.signals[chosen]
-
-
-def _regrid(sig: SampledSignal, dt: Optional[float], horizon: Optional[float]) -> SampledSignal:
-    if dt is None and horizon is None:
-        return sig
-    new_dt = dt if dt is not None else sig.dt
-    span = sig.grid.horizon if horizon is None else min(horizon, sig.grid.horizon)
-    return sig.resample(Grid.from_horizon(sig.t0, new_dt, span))
 
 
 def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
@@ -181,18 +167,12 @@ def _cmd_analyze(scenario: Scenario, args: argparse.Namespace, out: Optional[Pat
 
 def _cmd_certify(scenario: Scenario, args: argparse.Namespace, out: Optional[Path]) -> int:
     nominal = _pick_signal(scenario, args.nominal, scenario.nominal, "nominal")
-    nominal = _regrid(nominal, args.dt, args.horizon)
-    if args.x0:
-        x0 = np.array([float(v) for v in args.x0.split(",")])
-    elif scenario.x0 is not None:
-        x0 = scenario.x0
-    else:
+    x0 = with_overrides(scenario, x0=args.x0).x0
+    if x0 is None:
         raise ScenarioError("no initial state: provide scenario.x0 or --x0")
     try:
         cert = synthesis.certify_ir_pair(
-            scenario.system, scenario.u_constraint, scenario.x_constraint,
-            x0, nominal, tol=args.tol,
-        )
+            scenario.system, scenario.u_constraint, scenario.x_constraint, x0, nominal)
     except synthesis.NoInteriorWindow as exc:
         payload: dict = {"certificate": None, "inconclusive": True, "reason": str(exc)}
         if args.check_boundary:
@@ -201,7 +181,8 @@ def _cmd_certify(scenario: Scenario, args: argparse.Namespace, out: Optional[Pat
         _emit(json.dumps(payload, indent=2), out)
         return EXIT_NO_WINDOW
     except (synthesis.VerificationFailed, synthesis.RhoZero, synthesis.RZero,
-            synthesis.NotAdmissibleNominal, synthesis.ZeroMargin, SingularGramian) as exc:
+            synthesis.NotAdmissibleNominal, synthesis.ZeroMargin, synthesis.EmptyWindow,
+            SingularGramian) as exc:
         _emit(json.dumps({"certificate": None, "error": str(exc)}, indent=2), out)
         return EXIT_FAILED
     _emit(json.dumps(_certificate_dict(cert), indent=2), out)
@@ -211,7 +192,6 @@ def _cmd_certify(scenario: Scenario, args: argparse.Namespace, out: Optional[Pat
 def _cmd_simulate(scenario: Scenario, args: argparse.Namespace, out: Optional[Path]) -> int:
     sig = _pick_signal(scenario, args.input_name, scenario.input_name or scenario.nominal,
                        "input")
-    sig = _regrid(sig, args.dt, args.horizon)
     x0 = scenario.x0 if scenario.x0 is not None else np.zeros(scenario.system.n)
     triple = simulate(scenario.system, x0, sig)
     adm = check_admissible(triple, scenario.u_constraint, scenario.x_constraint)
@@ -228,15 +208,12 @@ def _cmd_simulate(scenario: Scenario, args: argparse.Namespace, out: Optional[Pa
 
 
 def _cmd_synthesize(scenario: Scenario, args: argparse.Namespace, out: Optional[Path]) -> int:
-    window = tuple(args.window) if args.window else scenario.window
+    window = with_overrides(scenario, window=args.window).window
     if window is None:
         raise ScenarioError("no synthesis window: provide scenario.window or --window")
     if scenario.grid is None:
         raise ScenarioError("synthesize needs a scenario.grid block")
     grid = scenario.grid
-    if args.dt is not None or args.horizon is not None:
-        grid = Grid.from_horizon(grid.t0, args.dt or grid.dt,
-                                 args.horizon or grid.horizon)
     rho = analysis.joint_kernel_dim(scenario.system.B, scenario.system.D)
     route = args.route
     if route == "auto":
@@ -283,7 +260,7 @@ def _run_one(path: str, args: argparse.Namespace, out: Optional[Path]) -> int:
     except NonLinearConstraints as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         return EXIT_NONLINEAR
-    except (ScenarioError, FileNotFoundError, PinnedInvalid) as exc:
+    except (ScenarioError, OSError, OverflowError, PinnedInvalid) as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (DimensionMismatch, GridMismatch) as exc:

@@ -260,9 +260,12 @@ class RationalMatrix:
 
     def to_float(self) -> np.ndarray:
         out = np.empty((self.rows, self.cols), dtype=float)
-        for i, row in enumerate(self.entries):
-            for j, x in enumerate(row):
-                out[i, j] = float(x)
+        try:
+            for i, row in enumerate(self.entries):
+                for j, x in enumerate(row):
+                    out[i, j] = float(x)
+        except OverflowError as exc:
+            raise OverflowError("a matrix entry lies beyond the float range") from exc
         return out
 
     def to_strings(self) -> list[list[str]]:

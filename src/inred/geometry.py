@@ -443,7 +443,8 @@ def gramian_transfer_data(A: np.ndarray, B: np.ndarray, p0: np.ndarray, pf: np.n
     n = A.shape[0]
     dt = duration / steps
     W_total = reachability_gramian(A, B, duration)
-    rcond = 1.0 / np.linalg.cond(W_total) if n else 1.0
+    finite = np.isfinite(W_total).all()  # cond's SVD fails on inf or NaN entries
+    rcond = (1.0 / np.linalg.cond(W_total) if finite else 0.0) if n else 1.0
     if not np.isfinite(rcond) or rcond < GRAMIAN_RCOND_MIN:
         raise SingularGramian(
             f"reciprocal condition {rcond:.2e} below {GRAMIAN_RCOND_MIN:.0e}"

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .trajectory import (
 
 
 MAX_EXPONENT = 10_000  # largest |e| of a rational literal written as digits x 10^e
+MAX_GRID_NODES = 10**6  # most nodes of a scenario.grid: horizon / dt sizes its arrays
 
 
 class ScenarioError(ValueError):
@@ -60,103 +62,45 @@ class Scenario:
     pinned: Optional[PinnedBases] = None
 
 
-def _require(obj: dict, key: str, context: str) -> Any:
+# ---------------------------------------------------------------------------
+# readers: each takes a JSON value and the path that names it in messages
+
+# A float field holds an int (integer literal), a Decimal (decimal literal) or
+# a float (bare NaN, Infinity or -Infinity); bools, strings and null are refused.
+_NUMBER_TYPES = {int, Decimal, float}
+_INFINITIES = {"inf": math.inf, "+inf": math.inf, "infinity": math.inf,
+               "-inf": -math.inf, "-infinity": -math.inf}
+
+
+def _decode(text: Union[str, bytes], source: str) -> Any:
+    try:
+        return json.loads(text, parse_float=Decimal)
+    except (ValueError, ArithmeticError, RecursionError) as exc:
+        # ValueError: bad syntax or UTF-8, or an over-long integer literal; ArithmeticError:
+        # an exponent Decimal cannot represent; RecursionError: nesting beyond the limit
+        raise ScenarioError(f"{source}: not valid JSON: {exc}") from exc
+
+
+def _field(obj: dict, key: str, path: str) -> Any:
     if key not in obj:
-        raise ScenarioError(f"missing '{key}' in {context}")
+        raise ScenarioError(f"{path}: missing '{key}'")
     return obj[key]
 
 
-def _object(obj: Any, context: str) -> dict:
+def _object(obj: Any, path: str) -> dict:
     if not isinstance(obj, dict):
-        raise ScenarioError(f"{context} must be an object")
+        raise ScenarioError(f"{path} must be an object")
     return obj
 
 
-def _rational_matrix(obj: Any, context: str) -> RationalMatrix:
-    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
-        raise ScenarioError(f"{context} must be a list of rows")
-    rows = [[_as_rational(x, context) for x in row] for row in obj]
-    try:
-        return RationalMatrix.from_rows(rows)
-    except ValueError as exc:  # rows of unequal length
-        raise ScenarioError(f"bad rational entry in {context}: {exc}") from exc
+def _rows(obj: Any, path: str) -> list[list]:
+    if (not isinstance(obj, list) or not all(isinstance(r, list) for r in obj)
+            or len({len(r) for r in obj}) > 1):
+        raise ScenarioError(f"{path} must be a list of equally long rows")
+    return obj
 
 
-def _float_value(x: Any, context: str, allow_inf: bool = False) -> float:
-    if isinstance(x, bool) or x is None:
-        if x is None and allow_inf:
-            return math.inf
-        raise ScenarioError(f"{context} must be a number")
-    if isinstance(x, str):
-        s = x.strip().lower()
-        if allow_inf and s in ("inf", "+inf", "infinity"):
-            return math.inf
-        if allow_inf and s in ("-inf", "-infinity"):
-            return -math.inf
-        raise ScenarioError(f"{context} must be a number, got {x!r}")
-    if isinstance(x, float):  # a bare JSON NaN, Infinity or -Infinity
-        return x
-    if not isinstance(x, (int, Decimal)):
-        raise ScenarioError(f"{context} must be a number")
-    try:
-        value = float(x) + 0.0  # + 0.0 reads a -0.0 literal as 0.0
-    except OverflowError:  # an integer literal beyond the float range
-        value = math.inf
-    if math.isinf(value):
-        raise ScenarioError(f"{context}: number outside the float range")
-    return value
-
-
-def _float_vector(obj: Any, context: str, allow_inf: bool = False) -> list[float]:
-    if not isinstance(obj, list):
-        raise ScenarioError(f"{context} must be a list")
-    return [_float_value(v, context, allow_inf) for v in obj]
-
-
-def _constraint(obj: Any, dim: int, context: str) -> ConstraintSet:
-    if obj is None:
-        return FullSpace(dim)
-    kind = _require(_object(obj, context), "type", context)
-    if kind == "full":
-        return FullSpace(dim)
-    if kind == "subspace":
-        span = obj.get("span", [])
-        if not isinstance(span, list):
-            raise ScenarioError(f"{context}.span must be a list of vectors")
-        space = Subspace.from_vectors(
-            dim, [[_as_rational(x, context) for x in vec] for vec in span]
-        )
-        return LinearSubspaceSet(space)
-    if kind == "box":
-        lower = _float_vector(_require(obj, "lower", context), f"{context}.lower", allow_inf=True)
-        upper = _float_vector(_require(obj, "upper", context), f"{context}.upper", allow_inf=True)
-        if len(lower) != dim or len(upper) != dim:
-            raise DimensionMismatch(f"{context}: box bounds must have length {dim}")
-        return Box(tuple(lower), tuple(upper), strict=_strict(obj, context))
-    if kind == "polyhedron":
-        G = [_float_vector(row, f"{context}.G", False) for row in _require(obj, "G", context)]
-        g = _float_vector(_require(obj, "g", context), f"{context}.g", False)
-        if any(len(row) != dim for row in G):
-            raise DimensionMismatch(f"{context}: G columns must equal {dim}")
-        return Polyhedron(np.array(G), np.array(g), strict=_strict(obj, context))
-    raise ScenarioError(f"{context}: unknown constraint type {kind!r}")
-
-
-def _strict(obj: dict, context: str) -> bool:
-    strict = obj.get("strict", False)
-    if not isinstance(strict, bool):
-        raise ScenarioError(f"{context}.strict must be true or false")
-    return strict
-
-
-def _name(scen: dict, key: str) -> Optional[str]:
-    name = scen.get(key)
-    if name is not None and not isinstance(name, str):
-        raise ScenarioError(f"scenario.{key} must be a signal name")
-    return name
-
-
-def _as_rational(x: Any, context: str) -> Fraction:
+def _rational(x: Any, path: str) -> Fraction:
     """x as an exact rational; a decimal literal with |e| > MAX_EXPONENT is
     refused before it becomes an integer of about 3.3 |e| bits."""
     try:
@@ -165,98 +109,173 @@ def _as_rational(x: Any, context: str) -> Fraction:
                 and abs(d.as_tuple().exponent) > MAX_EXPONENT):
             return as_fraction(x)
     except (TypeError, ValueError, ArithmeticError) as exc:
-        raise ScenarioError(f"bad rational in {context}: {x!r}") from exc
-    raise ScenarioError(f"bad rational in {context}: exponent beyond +-{MAX_EXPONENT}")
+        raise ScenarioError(f"bad rational in {path}: {x!r:.40}") from exc
+    raise ScenarioError(f"bad rational in {path}: exponent beyond +-{MAX_EXPONENT}")
 
 
-def _signal(obj: Any, context: str) -> SampledSignal:
-    interp_name = _object(obj, context).get("interpolation", "linear")
+def _rational_matrix(obj: Any, path: str) -> RationalMatrix:
+    return RationalMatrix.from_rows([[_rational(x, path) for x in row] for row in _rows(obj, path)])
+
+
+def _floats(obj: Any, path: str, rows: bool = False, extended: bool = False) -> np.ndarray:
+    """A list of numbers, or with `rows` a list of rows of them, as a float array.
+
+    With `extended` (box bounds) null and "inf"-like strings are infinities.
+    A bare NaN or Infinity keeps its meaning, a -0.0 literal reads as 0.0 and
+    a literal beyond the float range is refused.  The checks and the
+    conversion run a list at a time: a signal can hold many thousands.
+    """
+    if rows:
+        data = _rows(obj, path)
+        values = list(chain.from_iterable(data))
+        shape: tuple[int, ...] = (len(data), len(data[0]) if data else 0)
+    elif isinstance(obj, list):
+        values, shape = obj, (len(obj),)
+    else:
+        raise ScenarioError(f"{path} must be a list")
+    if extended:
+        values = [math.inf if v is None else
+                  _INFINITIES.get(v.strip().lower(), v) if isinstance(v, str) else v
+                  for v in values]
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        bad = next(v for v in values if type(v) not in _NUMBER_TYPES)
+        raise ScenarioError(f"{path}: expected a number, got {bad!r:.40}")
     try:
-        interp = Interpolation(interp_name)
-    except ValueError as exc:
-        raise ScenarioError(f"{context}: unknown interpolation {interp_name!r}") from exc
-    values = _require(obj, "values", context)
-    if not isinstance(values, list) or not all(isinstance(r, list) for r in values):
-        raise ScenarioError(f"{context}.values must be a list of vectors")
+        array = np.fromiter(map(float, values), float, len(values)).reshape(shape)
+        out_of_range = bool(np.isinf(array).any()) and any(
+            math.isinf(x) and type(v) is not float for v, x in zip(values, array.flat))
+    except OverflowError:  # an integer literal beyond the float range
+        out_of_range = True
+    if out_of_range:
+        raise ScenarioError(f"{path}: number outside the float range")
+    return array + 0.0  # + 0.0 reads a -0.0 literal as 0.0
+
+
+def _float(x: Any, path: str) -> float:
+    return float(_floats([x], path)[0])
+
+
+def _optional(obj: dict, key: str, path: str, kind: type, default: Any) -> Any:
+    value = obj.get(key, default)
+    if value is not default and not isinstance(value, kind):
+        raise ScenarioError(f"{path}.{key} must be a {kind.__name__}")
+    return value
+
+
+def _checked(make: Callable[..., Any], path: str, *args: Any, **kwargs: Any) -> Any:
+    """make(*args, **kwargs), a ValueError but DimensionMismatch raised as a ScenarioError
+    at path: the constructors of Grid, SampledSignal, Box and Polyhedron check their input."""
     try:
-        return SampledSignal(
-            t0=_float_value(_require(obj, "t0", context), f"{context}.t0"),
-            dt=_float_value(_require(obj, "dt", context), f"{context}.dt"),
-            values=np.array([[_float_value(v, context) for v in row] for row in values]),
-            interpolation=interp,
-        )
+        return make(*args, **kwargs)
+    except DimensionMismatch:
+        raise
     except ValueError as exc:
-        raise ScenarioError(f"{context}: {exc}") from exc
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _constraint(obj: Any, dim: int, path: str) -> ConstraintSet:
+    if obj is None:
+        return FullSpace(dim)
+    kind = _field(_object(obj, path), "type", path)
+    if kind == "full":
+        return FullSpace(dim)
+    if kind == "subspace":
+        span = _rational_matrix(obj.get("span", []), f"{path}.span")
+        return LinearSubspaceSet(Subspace.from_vectors(dim, span.entries))
+    if kind == "box":
+        lower, upper = (_floats(_field(obj, key, path), f"{path}.{key}", extended=True)
+                        for key in ("lower", "upper"))
+        if len(lower) != dim or len(upper) != dim:
+            raise DimensionMismatch(f"{path}: box bounds must have length {dim}")
+        return _checked(Box, path, lower, upper, _optional(obj, "strict", path, bool, False))
+    if kind == "polyhedron":
+        G = _floats(_field(obj, "G", path), f"{path}.G", rows=True)
+        g = _floats(_field(obj, "g", path), f"{path}.g")
+        if G.shape[1] != dim:
+            raise DimensionMismatch(f"{path}: G columns must equal {dim}")
+        return _checked(Polyhedron, path, G, g, _optional(obj, "strict", path, bool, False))
+    raise ScenarioError(f"{path}: unknown constraint type {kind!r:.40}")
+
+
+def _grid(obj: Any, path: str) -> Grid:
+    g = _object(obj, path)
+    t0 = _float(g.get("t0", 0), f"{path}.t0")
+    dt = _float(_field(g, "dt", path), f"{path}.dt")
+    horizon = _float(_field(g, "horizon", path), f"{path}.horizon")
+    steps = horizon / dt if dt > 0 and horizon > 0 else 0.0  # Grid refuses the rest
+    if not steps < MAX_GRID_NODES - 0.5:  # round(steps) + 1 nodes; refuses inf and NaN
+        raise ScenarioError(f"{path}: more than MAX_GRID_NODES = {MAX_GRID_NODES} nodes")
+    return _checked(Grid, path, t0, dt, round(steps) + 1)
+
+
+def _signal(obj: Any, path: str) -> SampledSignal:
+    return _checked(
+        SampledSignal, path,
+        t0=_float(_field(_object(obj, path), "t0", path), f"{path}.t0"),
+        dt=_float(_field(obj, "dt", path), f"{path}.dt"),
+        values=_floats(_field(obj, "values", path), f"{path}.values", rows=True),
+        interpolation=_checked(Interpolation, f"{path}.interpolation",
+                               obj.get("interpolation", "linear")),
+    )
+
+
+def _x0(obj: Any, n: int, path: str) -> np.ndarray:
+    x0 = _floats(obj, path)
+    if len(x0) != n:
+        raise DimensionMismatch(f"{path} length does not match the state dimension")
+    return x0
+
+
+def _window(obj: Any, grid: Optional[Grid], path: str) -> tuple[float, float]:
+    """[t1, t2]; with a grid, both ends must be nodes of it."""
+    t1t2 = _floats(obj, path).tolist()
+    if len(t1t2) != 2:
+        raise ScenarioError(f"{path} must be [t1, t2]")
+    if grid is not None:
+        for t in t1t2:
+            _checked(grid.index_of, path, t)
+    return (t1t2[0], t1t2[1])
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
     """Parse and validate a scenario file."""
-    text = Path(path).read_text()
-    try:
-        raw = json.loads(text, parse_float=Decimal)
-    except (ValueError, ArithmeticError, RecursionError) as exc:
-        # ValueError: bad syntax or an over-long integer literal;
-        # ArithmeticError: a decimal exponent Decimal cannot represent;
-        # RecursionError: nesting deeper than the decoder's recursion limit
-        raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{path}: top level must be an object")
-
-    sys_obj = _object(_require(raw, "system", "scenario file"), "'system'")
-    system = SystemQuadruple(
-        A=_rational_matrix(_require(sys_obj, "A", "system"), "system.A"),
-        B=_rational_matrix(_require(sys_obj, "B", "system"), "system.B"),
-        C=_rational_matrix(_require(sys_obj, "C", "system"), "system.C"),
-        D=_rational_matrix(_require(sys_obj, "D", "system"), "system.D"),
-    )
+    raw = _object(_decode(Path(path).read_bytes(), str(path)), str(path))
+    sys_obj = _object(_field(raw, "system", str(path)), "system")
+    system = SystemQuadruple(*(_rational_matrix(_field(sys_obj, name, "system"), f"system.{name}")
+                               for name in "ABCD"))
     if system.m < 1:
         raise DimensionMismatch("system must have at least one input")
-
-    cons = _object(raw.get("constraints", {}), "'constraints'")
-    u_cs = _constraint(cons.get("u"), system.m, "constraints.u")
-    x_cs = _constraint(cons.get("x"), system.n, "constraints.x")
-
-    scen = _object(raw.get("scenario", {}), "'scenario'")
-    x0 = None
-    if "x0" in scen:
-        x0 = np.array(_float_vector(scen["x0"], "scenario.x0"))
-        if x0.shape[0] != system.n:
-            raise DimensionMismatch("scenario.x0 length does not match the state dimension")
-    grid = None
-    if "grid" in scen:
-        g = _object(scen["grid"], "scenario.grid")
-        try:
-            grid = Grid.from_horizon(
-                _float_value(g.get("t0", 0), "grid.t0"),
-                _float_value(_require(g, "dt", "scenario.grid"), "grid.dt"),
-                _float_value(_require(g, "horizon", "scenario.grid"), "grid.horizon"),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"scenario.grid: {exc}") from exc
-    signals = {
-        name: _signal(spec, f"scenario.signals.{name}")
-        for name, spec in _object(scen.get("signals", {}), "scenario.signals").items()
-    }
-    window = None
-    if "window" in scen:
-        t1t2 = _float_vector(scen["window"], "scenario.window")
-        if len(t1t2) != 2:
-            raise ScenarioError("scenario.window must be [t1, t2]")
-        window = (t1t2[0], t1t2[1])
-    pinned = None
-    if "pinned" in scen:
-        p = _object(scen["pinned"], "scenario.pinned")
-        pinned = PinnedBases(
-            R=_rational_matrix(p["R"], "pinned.R") if "R" in p else None,
-            F=_rational_matrix(p["F"], "pinned.F") if "F" in p else None,
-            L=_rational_matrix(p["L"], "pinned.L") if "L" in p else None,
-        )
+    cons = _object(raw.get("constraints", {}), "constraints")
+    scen = _object(raw.get("scenario", {}), "scenario")
+    grid = _grid(scen["grid"], "scenario.grid") if "grid" in scen else None
+    signals = _object(scen.get("signals", {}), "scenario.signals")
+    pins = _object(scen.get("pinned", {}), "scenario.pinned")
     return Scenario(
-        system=system, u_constraint=u_cs, x_constraint=x_cs,
-        x0=x0, grid=grid, signals=signals,
-        nominal=_name(scen, "nominal"), input_name=_name(scen, "input"),
-        window=window, pinned=pinned,
+        system=system, u_constraint=_constraint(cons.get("u"), system.m, "constraints.u"),
+        x_constraint=_constraint(cons.get("x"), system.n, "constraints.x"),
+        x0=_x0(scen["x0"], system.n, "scenario.x0") if "x0" in scen else None,
+        grid=grid,
+        signals={name: _signal(spec, f"scenario.signals.{name}")
+                 for name, spec in signals.items()},
+        nominal=_optional(scen, "nominal", "scenario", str, None),
+        input_name=_optional(scen, "input", "scenario", str, None),
+        window=_window(scen["window"], grid, "scenario.window") if "window" in scen else None,
+        pinned=PinnedBases(**{name: _rational_matrix(pins[name], f"scenario.pinned.{name}")
+                              for name in ("R", "F", "L") if name in pins})
+        if "pinned" in scen else None,
     )
+
+
+def with_overrides(scenario: Scenario, x0: Optional[str] = None,
+                   window: Optional[Sequence[str]] = None) -> Scenario:
+    """`scenario` with `--x0 "a,b,c"` or `--window T1 T2` in place of its x0 or
+    window; the numbers are JSON literals, read and checked as the file's are."""
+    if x0 is not None:
+        scenario = replace(scenario, x0=_x0(_decode(f"[{x0}]", "--x0"), scenario.system.n, "--x0"))
+    if window is not None:
+        value = _decode(f"[{','.join(window)}]", "--window")
+        scenario = replace(scenario, window=_window(value, scenario.grid, "--window"))
+    return scenario
 
 
 def require_linear(cs: ConstraintSet) -> Subspace:

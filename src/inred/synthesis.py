@@ -223,22 +223,21 @@ def compute_scaling(r_u_min: float, r_x_min: Optional[float],
 
 
 def verify_increment(sys: SystemQuadruple, u_set: ConstraintSet, x_set: ConstraintSet,
-                     x0: Sequence[float], u: SampledSignal, u_tilde: SampledSignal,
-                     tol: float = SIGNAL_TOL) -> IncrementCheck:
+                     x0: Sequence[float], u: SampledSignal,
+                     u_tilde: SampledSignal) -> IncrementCheck:
     """Check that u + u_tilde stays admissible and leaves the output unchanged.
 
     The increment responses are simulated from the zero state; membership in
-    the increment set requires sup|y_tilde| <= tol and both the shifted input
-    and shifted state to stay inside their sets at every node.
+    the increment set requires sup|y_tilde| <= SIGNAL_TOL and both the
+    shifted input and shifted state to stay inside their sets at every node.
     """
     if not u.same_grid(u_tilde):
         raise GridMismatch("nominal input and increment must share one grid")
-    return _verify(sys, u_set, x_set, simulate(sys, x0, u), u_tilde, tol)
+    return _verify(sys, u_set, x_set, simulate(sys, x0, u), u_tilde)
 
 
 def _verify(sys: SystemQuadruple, u_set: ConstraintSet, x_set: ConstraintSet,
-            nominal: TrajectoryTriple, u_tilde: SampledSignal,
-            tol: float) -> IncrementCheck:
+            nominal: TrajectoryTriple, u_tilde: SampledSignal) -> IncrementCheck:
     """`verify_increment` on an already simulated nominal triple."""
     u = nominal.u
     inc = simulate(sys, np.zeros(sys.n), u_tilde)
@@ -252,7 +251,7 @@ def _verify(sys: SystemQuadruple, u_set: ConstraintSet, x_set: ConstraintSet,
     )
     adm = check_admissible(shifted, u_set, x_set)
     return IncrementCheck(
-        ok=(y_sup <= tol) and adm.ok,
+        ok=(y_sup <= SIGNAL_TOL) and adm.ok,
         y_sup_diff=y_sup,
         admissible_both=adm.ok,
         first_violation=adm.first_violation,
@@ -260,8 +259,7 @@ def _verify(sys: SystemQuadruple, u_set: ConstraintSet, x_set: ConstraintSet,
 
 
 def certify_ir_pair(sys: SystemQuadruple, u_set: ConstraintSet, x_set: ConstraintSet,
-                    x0: Sequence[float], u_nominal: SampledSignal,
-                    tol: float = SIGNAL_TOL) -> IRCertificate:
+                    x0: Sequence[float], u_nominal: SampledSignal) -> IRCertificate:
     """Certify that (x0, output of u_nominal) is an input-redundant pair.
 
     Simulates the nominal trajectory, finds the widest interior window along
@@ -296,7 +294,7 @@ def certify_ir_pair(sys: SystemQuadruple, u_set: ConstraintSet, x_set: Constrain
         route = StateLoop(x_peak=x_hat.values[imid].copy(), t_mid=float(grid.times()[imid]))
     alpha = compute_scaling(win.r_u_min, win.r_x_min, u_hat, x_hat, rho)
     u_tilde = u_hat.scaled(alpha)
-    check = _verify(sys, u_set, x_set, nominal, u_tilde, tol)
+    check = _verify(sys, u_set, x_set, nominal, u_tilde)
     if not check.ok:
         raise VerificationFailed(check)
     return IRCertificate(

@@ -48,8 +48,8 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("grid step must be positive")
+        if not (0 < self.dt < math.inf and math.isfinite(self.t0)):
+            raise ValueError("grid step must be positive and finite, and t0 finite")
         if self.n < 2:
             raise ValueError("grid needs at least two samples")
 
@@ -65,8 +65,9 @@ class Grid:
         return self.t0 + self.dt * np.arange(self.n)
 
     def index_of(self, t: float) -> int:
-        """Grid index of a node time; raises when t is off-grid."""
-        k = int(round((t - self.t0) / self.dt))
+        """Grid index of a node time; raises when t is off-grid or not finite."""
+        steps = (t - self.t0) / self.dt
+        k = round(steps) if math.isfinite(steps) else -1
         if k < 0 or k >= self.n or abs(self.t0 + k * self.dt - t) > 1e-9 * (1 + abs(t)):
             raise ValueError(f"time {t} is not a node of the grid")
         return k
@@ -92,8 +93,8 @@ class SampledSignal:
             raise ValueError("signal values must be a 2-D array (samples x dim)")
         if vals.shape[0] < 2:
             raise ValueError("signal needs at least two samples")
-        if self.dt <= 0:
-            raise ValueError("signal step must be positive")
+        if not (0 < self.dt < math.inf and math.isfinite(self.t0)):
+            raise ValueError("signal step must be positive and finite, and t0 finite")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -156,7 +157,7 @@ class TrajectoryTriple:
         if not (self.u.same_grid(self.x) and self.u.same_grid(self.y)):
             raise GridMismatch("u, x, y must share one grid")
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
-        if not np.allclose(self.x.values[0], x0, atol=1e-9):
+        if not np.allclose(self.x.values[0], x0, atol=1e-9, equal_nan=True):
             raise ValueError("state signal does not start at x0")
         x0 = x0.copy()
         x0.flags.writeable = False

@@ -3,23 +3,72 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import io
 import json
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import inred.cli
 from inred.cli import main
-from inred.scenario import dump_scenario, load_scenario
+from inred.scenario import MAX_GRID_NODES, dump_scenario, load_scenario
+
+DOCS = Path(__file__).resolve().parents[1] / "docs"
 
 
 def write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj, indent=1))
     return str(path)
+
+
+def schema_validators():
+    """Validators of docs/*.schema.json by name, or None without jsonschema."""
+    if importlib.util.find_spec("jsonschema") is None:
+        return None
+    from jsonschema import Draft202012Validator
+
+    return {name: Draft202012Validator(json.loads((DOCS / f"{name}.schema.json").read_text()))
+            for name in ("scenario", "report", "certificate")}
+
+
+def assert_valid(validator, instance, what):
+    errors = [f"{list(e.absolute_path)}: {e.message}" for e in validator.iter_errors(instance)]
+    assert not errors, f"{what} does not match its schema: {errors[:3]}"
+
+
+@pytest.fixture(autouse=True)
+def outputs_match_the_schemas(monkeypatch):
+    """Each scenario a test here loads, and each report or certify payload the
+    CLI writes, must validate against its schema in docs/ (with jsonschema)."""
+    validators = schema_validators()
+    if validators is None:
+        return
+
+    def loading(path, _load=load_scenario):
+        scenario = _load(path)
+        assert_valid(validators["scenario"], json.loads(Path(path).read_text()), path)
+        return scenario
+
+    def emitting(text, out, _emit=inred.cli._emit):
+        _emit(text, out)
+        try:
+            payload = json.loads(text)
+        except ValueError:  # CSV or a text report
+            return
+        if "kind" in payload:
+            assert_valid(validators["report"], payload, "report")
+        elif "certificate" in payload or "window" in payload:
+            assert_valid(validators["certificate"], payload, "certify payload")
+
+    monkeypatch.setattr(inred.cli, "load_scenario", loading)
+    monkeypatch.setitem(globals(), "load_scenario", loading)
+    monkeypatch.setattr(inred.cli, "_emit", emitting)
 
 
 FOUR_INPUT_SYSTEM = {
@@ -538,6 +587,98 @@ def test_synthesize_failure_exit_code(tmp_path):
     }
     path = write(tmp_path, "synth_bad.json", obj)
     assert main(["synthesize", path]) == 5
+
+
+def synthesize_scenario(dt, horizon, window):
+    return {
+        "system": FOUR_INPUT_SYSTEM,
+        "constraints": {"u": {"type": "full"}, "x": {"type": "full"}},
+        "scenario": {"grid": {"t0": 0.0, "dt": dt, "horizon": horizon}, "window": window},
+    }
+
+
+@pytest.mark.parametrize("window,flag", [
+    ([0.2, 1.2], True),   # 0.2 is not a node when dt = 0.003
+    ([0.2, 1.2], False),
+    ([0.3, 3.0], True),   # 3.0 lies past the horizon
+    ([0.3, 3.0], False),
+])
+def test_window_off_the_grid_is_a_parse_error(tmp_path, capsys, window, flag):
+    obj = synthesize_scenario(0.003, 1.5, [0.3, 0.6] if flag else window)
+    argv = ["synthesize", write(tmp_path, "synth.json", obj)]
+    if flag:
+        argv += ["--window", *map(str, window)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert ("--window" if flag else "scenario.window") in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("x0,code", [("a,b,c", 3), (",", 3), ("1e400,0,0", 3), ("0.1,0.2", 6)])
+def test_malformed_x0_flag(tmp_path, capsys, x0, code):
+    obj = buck_certify_scenario(np.zeros((3, 2)).tolist(), [0.0, 0.0, 0.0])
+    assert main(["certify", write(tmp_path, "c.json", obj), "--x0", x0]) == code
+    err = capsys.readouterr().err
+    assert "--x0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("constraint,named", [
+    ({"type": "box", "lower": [2], "upper": [1]}, "constraints.u"),
+    ({"type": "polyhedron", "G": [[0.0]], "g": [1.0]}, "constraints.u"),
+    ({"type": "polyhedron", "G": 5, "g": [1.0]}, "constraints.u.G"),
+    ({"type": "subspace", "span": [5]}, "constraints.u.span"),
+], ids=["box-order", "zero-row", "G-scalar", "span-scalar"])
+def test_constraint_the_constructor_refuses_is_a_parse_error(tmp_path, capsys, constraint, named):
+    obj = json.loads(json.dumps(SMALL_SIMULATE))
+    obj["constraints"]["u"] = constraint
+    assert main(["simulate", write(tmp_path, "bad_set.json", obj)]) == 3
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value", [("dt", math.inf), ("dt", math.nan), ("t0", math.inf)])
+def test_non_finite_signal_step_or_start_is_a_parse_error(tmp_path, capsys, key, value):
+    obj = json.loads(json.dumps(SMALL_SIMULATE))
+    obj["scenario"]["signals"]["z"][key] = value
+    assert main(["simulate", write(tmp_path, "step.json", obj)]) == 3
+    err = capsys.readouterr().err
+    assert "scenario.signals.z" in err and "Traceback" not in err
+
+
+def test_grid_at_the_node_limit_is_accepted(tmp_path):
+    obj = synthesize_scenario(1.0, MAX_GRID_NODES - 1, [0.0, 2.0])
+    assert load_scenario(write(tmp_path, "grid.json", obj)).grid.n == MAX_GRID_NODES
+
+
+@pytest.mark.parametrize("dt,horizon", [(1.0, MAX_GRID_NODES), (1e-300, 1.0), (1e-3, 1e308)],
+                         ids=["one-past-the-limit", "tiny-dt", "huge-horizon"])
+def test_grid_beyond_the_node_limit_is_a_parse_error(tmp_path, capsys, dt, horizon):
+    path = write(tmp_path, "grid.json", synthesize_scenario(dt, horizon, [0.0, 1.0]))
+    start = time.perf_counter()
+    assert main(["synthesize", path]) == 3
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert "scenario.grid" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--dt", "--horizon"])
+@pytest.mark.parametrize("command", ["analyze", "certify", "simulate", "synthesize"])
+def test_removed_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, write(tmp_path, "s.json", SMALL_SIMULATE), flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_schemas_are_valid_and_describe_a_certify_failure(tmp_path, capsys):
+    pytest.importorskip("jsonschema")
+    validators = schema_validators()
+    for validator in validators.values():
+        validator.check_schema(validator.schema)
+    outside = buck_certify_scenario(np.full((3, 2), 2.0).tolist(), [0.0, 0.0, 0.0])
+    assert main(["certify", write(tmp_path, "outside.json", outside)]) == 5
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certificate"] is None
+    assert_valid(validators["certificate"], payload, "exit-5 payload")
 
 
 # ---------------------------------------------------------------------------
