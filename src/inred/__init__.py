@@ -21,13 +21,10 @@ from .geometry import (
     DegenerateStateSpace,
     PinnedBases,
     ReducedSystem,
-    SingularGramian,
     SystemQuadruple,
     adapted_basis,
     controllable_weakly_unobservable,
     friend,
-    gramian_transfer_input,
-    lift_trajectory,
     max_controlled_invariant,
     output_nulling,
     reduce_system,
@@ -55,12 +52,14 @@ from .trajectory import (
     Membership,
     Polyhedron,
     SampledSignal,
+    SingularGramian,
     Status,
     TrajectoryTriple,
     boundary_residence,
     check_admissible,
     compare_triples,
     interior_window,
+    lift_trajectory,
     margins,
     membership,
     simulate,

@@ -171,8 +171,7 @@ def analyze(sys: SystemQuadruple, u_set: Subspace, x_set: Subspace,
     classifies it geometrically, proves the verdict with one exact witness
     (the output-nulling record if redundant, `left_invertibility` if not),
     and records named consistency checks (kind preservation from the
-    unconstrained system, the nu/controllable-subspace equivalence, and
-    transfer/system matrix agreement).
+    unconstrained system and the nu/controllable-subspace equivalence).
     """
     try:
         bundle = reduce_system(sys, u_set, x_set, pinned=pinned)
@@ -185,19 +184,17 @@ def analyze(sys: SystemQuadruple, u_set: Subspace, x_set: Subspace,
         g_inv = p_inv = False
     else:
         g_inv, p_inv = left_invertibility(bundle.sys)
+        if not p_inv:
+            raise ConsistencyError("normal-rank route disagrees with the exact degree computation")
     unconstrained = degree_and_kind(sys)
 
     flags = {
         "nu_matches_dim_R": (base.nu > 0) == (base.dim_R > 0),
-        "transfer_system_matrix_agree": g_inv == p_inv,
-        "rank_test_matches_degree": (base.rho > 0 or base.nu > 0) == (not p_inv),
         "kind_preserved_from_unconstrained": (
             unconstrained.kind not in (Kind.FIRST, Kind.SECOND)
             or base.kind in (Kind.NOT_IR, unconstrained.kind)
         ),
     }
-    if not flags["rank_test_matches_degree"]:
-        raise ConsistencyError("normal-rank route disagrees with the exact degree computation")
     return replace(base, left_invertible_G=g_inv, left_invertible_P=p_inv,
                    consistency_flags=flags)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import analysis, synthesis
 from .exact import DimensionMismatch
-from .geometry import PinnedInvalid, SingularGramian
+from .geometry import PinnedInvalid
 from .scenario import (
     NonLinearConstraints,
     Scenario,
@@ -39,6 +39,7 @@ from .scenario import (
 from .trajectory import (
     GridMismatch,
     SampledSignal,
+    SingularGramian,
     boundary_residence,
     check_admissible,
     simulate,
@@ -86,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sy)
     p_sy.add_argument("--window", nargs=2, metavar=("T1", "T2"),
                       help="synthesis window, overrides the file")
-    p_sy.add_argument("--route", choices=("auto", "kernel", "loop"), default="auto")
     return parser
 
 
@@ -214,12 +214,8 @@ def _cmd_synthesize(scenario: Scenario, args: argparse.Namespace, out: Optional[
     if scenario.grid is None:
         raise ScenarioError("synthesize needs a scenario.grid block")
     grid = scenario.grid
-    rho = analysis.joint_kernel_dim(scenario.system.B, scenario.system.D)
-    route = args.route
-    if route == "auto":
-        route = "kernel" if rho > 0 else "loop"
     try:
-        if route == "kernel":
+        if analysis.joint_kernel_dim(scenario.system.B, scenario.system.D) > 0:
             u_hat = synthesis.synthesize_kernel_bump(
                 scenario.system.B, scenario.system.D, window, grid)
             x_hat = None

@@ -8,8 +8,9 @@ and run over Python integers, with one division per output entry.  Subspaces
 carry a canonical reduced-column-echelon basis, which makes value equality
 coincide with subspace equality.
 
-Floating point is confined to the trajectory layer; `to_float` is the only
-bridge.
+`geometry` and `analysis` build on this module and the standard library
+alone.  Floating point is confined to the trajectory layer (`trajectory` and
+`synthesis`); `to_float` is the only bridge.
 """
 
 from __future__ import annotations

@@ -4,21 +4,17 @@ Computes the classical subspaces of the geometric approach (the largest
 controlled invariant subspace in a given set, the weakly unobservable
 subspace, its controllable part) together with friends (invariance-realizing
 feedbacks), the reduction of a linearly constrained system to an equivalent
-unconstrained one, bases adapted to the subspace chain, and Gramian-based
-minimum-energy transfer inputs.
+unconstrained one, and bases adapted to the subspace chain.
 
-Everything except the Gramian transfer is exact; that one function is the
-single place where this module leaves rational arithmetic, and its output is
-meant to be verified by simulation, never trusted blindly.
+Everything here is exact: the module imports only the standard library and
+`exact`.  The floating-point constructions built on these objects (the
+Gramian transfer, lifting reduced trajectories) live in `trajectory`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
-
-import numpy as np
-from scipy.linalg import expm
+from typing import Callable, Optional
 
 from .exact import (
     DimensionMismatch,
@@ -29,12 +25,6 @@ from .exact import (
     kernel,
     preimage,
     restriction_matrix,
-)
-from .trajectory import (
-    GridMismatch,
-    Interpolation,
-    SampledSignal,
-    TrajectoryTriple,
 )
 
 
@@ -52,10 +42,6 @@ class DegenerateStateSpace(ValueError):
 
 class PinnedInvalid(ValueError):
     """Supplied insertion/friend/reparametrization matrices violate their invariants."""
-
-
-class SingularGramian(ValueError):
-    """Reachability Gramian is numerically singular over the requested horizon."""
 
 
 class FixpointNotConverged(RuntimeError):
@@ -323,31 +309,8 @@ def reduce_system(sys: SystemQuadruple, u_set: Subspace, x_set: Subspace,
     )
 
 
-def lift_trajectory(bundle: ReducedSystem, eta0: Sequence[float],
-                    w: SampledSignal, eta: SampledSignal, phi: SampledSignal) -> TrajectoryTriple:
-    """Map a reduced-system trajectory (w, eta, phi) to a constrained-system one.
-
-    The embedding (w, eta, phi) -> (R L w + R F T eta, T eta, phi) is linear
-    and injective, so distinct reduced trajectories lift to distinct
-    constrained ones.
-    """
-    if not (w.same_grid(eta) and w.same_grid(phi)):
-        raise GridMismatch("w, eta, phi must share one grid")
-    eta0 = np.asarray(eta0, dtype=float).reshape(-1)
-    if not np.allclose(eta.values[0], eta0, atol=1e-9):
-        raise ValueError("eta does not start at eta0")
-    RL = (bundle.R @ bundle.L).to_float()
-    RFT = (bundle.R @ bundle.F @ bundle.T).to_float()
-    Tf = bundle.T.to_float()
-    u_vals = w.values @ RL.T + eta.values @ RFT.T
-    x_vals = eta.values @ Tf.T
-    u = SampledSignal(w.t0, w.dt, u_vals, w.interpolation)
-    x = SampledSignal(w.t0, w.dt, x_vals, Interpolation.PIECEWISE_LINEAR)
-    return TrajectoryTriple(u=u, x=x, y=phi, x0=Tf @ eta0)
-
-
 # ---------------------------------------------------------------------------
-# adapted bases and Gramian transfers
+# adapted bases
 
 
 @dataclass(frozen=True)
@@ -408,84 +371,3 @@ def adapted_basis(sys: SystemQuadruple) -> AdaptedBasis:
         B1=B_bar.block(0, ra, 0, B_bar.cols),
         F=F, L=L,
     )
-
-
-def _as_float(mat) -> np.ndarray:
-    if isinstance(mat, RationalMatrix):
-        return mat.to_float()
-    return np.atleast_2d(np.asarray(mat, dtype=float))
-
-
-def reachability_gramian(A: np.ndarray, B: np.ndarray, duration: float) -> np.ndarray:
-    """Finite-horizon reachability Gramian, by one augmented matrix exponential."""
-    n = A.shape[0]
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = A
-    M[:n, n:] = B @ B.T
-    M[n:, n:] = -A.T
-    E = expm(M * duration)
-    # E12 = int_0^T e^{(T-s)A} Q e^{-sA'} ds, so right-multiplying by e^{TA'}
-    # yields the Gramian.
-    return E[:n, n:] @ E[:n, :n].T
-
-
-GRAMIAN_RCOND_MIN = 1e-12
-
-
-def gramian_transfer_data(A: np.ndarray, B: np.ndarray, p0: np.ndarray, pf: np.ndarray,
-                   duration: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled transfer input w and the exact state response phi at the nodes.
-
-    The state samples come from the closed-form solution
-    phi(t) = e^{tA} p0 + W(t) e^{(T-t)A'} eta, built incrementally, so the
-    endpoint matches pf to round-off regardless of the grid.
-    """
-    n = A.shape[0]
-    dt = duration / steps
-    W_total = reachability_gramian(A, B, duration)
-    finite = np.isfinite(W_total).all()  # cond's SVD fails on inf or NaN entries
-    rcond = (1.0 / np.linalg.cond(W_total) if finite else 0.0) if n else 1.0
-    if not np.isfinite(rcond) or rcond < GRAMIAN_RCOND_MIN:
-        raise SingularGramian(
-            f"reciprocal condition {rcond:.2e} below {GRAMIAN_RCOND_MIN:.0e}"
-        )
-    eta = np.linalg.solve(W_total, pf - expm(A * duration) @ p0)
-    E = expm(A * dt)
-    W_dt = reachability_gramian(A, B, dt)
-    # backward factors v_k = e^{(T - t_k) A'} eta
-    v = np.empty((steps + 1, n))
-    v[steps] = eta
-    for k in range(steps - 1, -1, -1):
-        v[k] = E.T @ v[k + 1]
-    w = v @ B
-    phi = np.empty((steps + 1, n))
-    free = p0.copy()
-    W = np.zeros((n, n))
-    for k in range(steps + 1):
-        phi[k] = free + W @ v[k]
-        if k < steps:
-            free = E @ free
-            W = E @ W @ E.T + W_dt
-    return w, phi
-
-
-def gramian_transfer_input(A11, B1, phi_a0: Sequence[float], phi_af: Sequence[float],
-                           duration: float, dt: float = 1e-3) -> SampledSignal:
-    """Minimum-energy input transferring the controllable block between states.
-
-    Returns w(t) = B1' e^{(T-t) A11'} W_r(T)^{-1} (phi_af - e^{T A11} phi_a0)
-    sampled on a uniform grid over [0, T].  Raises SingularGramian when the
-    Gramian's reciprocal condition estimate falls below 1e-12 (in particular
-    when (A11, B1) is not controllable over the horizon).
-    """
-    if duration <= 0:
-        raise ValueError("transfer duration must be positive")
-    A = _as_float(A11)
-    B = _as_float(B1)
-    p0 = np.asarray(phi_a0, dtype=float).reshape(-1)
-    pf = np.asarray(phi_af, dtype=float).reshape(-1)
-    if p0.shape[0] != A.shape[0] or pf.shape[0] != A.shape[0]:
-        raise DimensionMismatch("endpoint vectors must match the block dimension")
-    steps = max(2, int(round(duration / dt)))
-    w, _ = gramian_transfer_data(A, B, p0, pf, duration, steps)
-    return SampledSignal(0.0, duration / steps, w, Interpolation.PIECEWISE_LINEAR)

@@ -117,13 +117,14 @@ def _rational_matrix(obj: Any, path: str) -> RationalMatrix:
     return RationalMatrix.from_rows([[_rational(x, path) for x in row] for row in _rows(obj, path)])
 
 
-def _floats(obj: Any, path: str, rows: bool = False, extended: bool = False) -> np.ndarray:
+def _floats(obj: Any, path: str, rows: bool = False, null: Optional[float] = None) -> np.ndarray:
     """A list of numbers, or with `rows` a list of rows of them, as a float array.
 
-    With `extended` (box bounds) null and "inf"-like strings are infinities.
-    A bare NaN or Infinity keeps its meaning, a -0.0 literal reads as 0.0 and
-    a literal beyond the float range is refused.  The checks and the
-    conversion run a list at a time: a signal can hold many thousands.
+    With `null` (box bounds: -inf below, +inf above) a null reads as that
+    infinity and "inf"-like strings are infinities.  A bare NaN or Infinity
+    keeps its meaning, a -0.0 literal reads as 0.0 and a literal beyond the
+    float range is refused.  The checks and the conversion run a list at a
+    time: a signal can hold many thousands.
     """
     if rows:
         data = _rows(obj, path)
@@ -133,8 +134,8 @@ def _floats(obj: Any, path: str, rows: bool = False, extended: bool = False) -> 
         values, shape = obj, (len(obj),)
     else:
         raise ScenarioError(f"{path} must be a list")
-    if extended:
-        values = [math.inf if v is None else
+    if null is not None:
+        values = [null if v is None else
                   _INFINITIES.get(v.strip().lower(), v) if isinstance(v, str) else v
                   for v in values]
     if not set(map(type, values)) <= _NUMBER_TYPES:
@@ -183,8 +184,8 @@ def _constraint(obj: Any, dim: int, path: str) -> ConstraintSet:
         span = _rational_matrix(obj.get("span", []), f"{path}.span")
         return LinearSubspaceSet(Subspace.from_vectors(dim, span.entries))
     if kind == "box":
-        lower, upper = (_floats(_field(obj, key, path), f"{path}.{key}", extended=True)
-                        for key in ("lower", "upper"))
+        lower, upper = (_floats(_field(obj, key, path), f"{path}.{key}", null=unbounded)
+                        for key, unbounded in (("lower", -math.inf), ("upper", math.inf)))
         if len(lower) != dim or len(upper) != dim:
             raise DimensionMismatch(f"{path}: box bounds must have length {dim}")
         return _checked(Box, path, lower, upper, _optional(obj, "strict", path, bool, False))
@@ -238,9 +239,10 @@ def _window(obj: Any, grid: Optional[Grid], path: str) -> tuple[float, float]:
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
-    """Parse and validate a scenario file."""
-    raw = _object(_decode(Path(path).read_bytes(), str(path)), str(path))
-    sys_obj = _object(_field(raw, "system", str(path)), "system")
+    """Parse and validate a scenario file.  An error names the JSON path at fault
+    ("top level" for the document), not the file: the caller knows the file."""
+    raw = _object(_decode(Path(path).read_bytes(), "top level"), "top level")
+    sys_obj = _object(_field(raw, "system", "top level"), "system")
     system = SystemQuadruple(*(_rational_matrix(_field(sys_obj, name, "system"), f"system.{name}")
                                for name in "ABCD"))
     if system.m < 1:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .analysis import joint_kernel_dim
 from .exact import RationalMatrix, kernel
-from .geometry import SystemQuadruple, adapted_basis, gramian_transfer_data
+from .geometry import SystemQuadruple, adapted_basis
 from .trajectory import (
     ConstraintSet,
     Grid,
@@ -31,6 +31,7 @@ from .trajectory import (
     SampledSignal,
     TrajectoryTriple,
     check_admissible,
+    gramian_transfer_data,
     interior_window,
     simulate,
 )

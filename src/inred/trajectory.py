@@ -2,8 +2,10 @@
 
 This is the floating-point side of the package: sampled signals on uniform
 grids, exact-per-step discretization of the LTI dynamics through augmented
-matrix exponentials, and the sampled checks used by the certification layer
-(interiority windows, boundary residence, signal comparison).
+matrix exponentials, the minimum-energy (Gramian) transfer built from the
+same kind of exponential, the lift of reduced-system trajectories, and the
+sampled checks used by the certification layer (interiority windows,
+boundary residence, signal comparison).
 
 The discretization is exact for inputs representable by their declared
 interpolation rule, so halving the step changes trajectories only at the
@@ -23,7 +25,7 @@ from scipy.linalg import expm
 from .exact import DimensionMismatch, Subspace
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .geometry import SystemQuadruple
+    from .geometry import ReducedSystem, SystemQuadruple
 
 #: default absolute tolerance for membership classification
 MEMBERSHIP_TOL = 1e-9
@@ -33,6 +35,10 @@ SIGNAL_TOL = 1e-6
 
 class GridMismatch(ValueError):
     """Signals do not share the same sampling grid."""
+
+
+class SingularGramian(ValueError):
+    """Reachability Gramian is numerically singular over the requested horizon."""
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +402,89 @@ def simulate(sys: "SystemQuadruple", x0: Sequence[float], u: SampledSignal) -> T
     xs = SampledSignal(u.t0, u.dt, x, Interpolation.PIECEWISE_LINEAR)
     ys = SampledSignal(u.t0, u.dt, y, u.interpolation)
     return TrajectoryTriple(u=u, x=xs, y=ys, x0=x0)
+
+
+def lift_trajectory(bundle: "ReducedSystem", eta0: Sequence[float],
+                    w: SampledSignal, eta: SampledSignal, phi: SampledSignal) -> TrajectoryTriple:
+    """Map a reduced-system trajectory (w, eta, phi) to a constrained-system one.
+
+    The embedding (w, eta, phi) -> (R L w + R F T eta, T eta, phi) is linear
+    and injective, so distinct reduced trajectories lift to distinct
+    constrained ones.
+    """
+    if not (w.same_grid(eta) and w.same_grid(phi)):
+        raise GridMismatch("w, eta, phi must share one grid")
+    eta0 = np.asarray(eta0, dtype=float).reshape(-1)
+    if not np.allclose(eta.values[0], eta0, atol=1e-9):
+        raise ValueError("eta does not start at eta0")
+    RL = (bundle.R @ bundle.L).to_float()
+    RFT = (bundle.R @ bundle.F @ bundle.T).to_float()
+    Tf = bundle.T.to_float()
+    u_vals = w.values @ RL.T + eta.values @ RFT.T
+    x_vals = eta.values @ Tf.T
+    u = SampledSignal(w.t0, w.dt, u_vals, w.interpolation)
+    x = SampledSignal(w.t0, w.dt, x_vals, Interpolation.PIECEWISE_LINEAR)
+    return TrajectoryTriple(u=u, x=x, y=phi, x0=Tf @ eta0)
+
+
+# ---------------------------------------------------------------------------
+# Gramian transfers
+
+
+def reachability_gramian(A: np.ndarray, B: np.ndarray, duration: float) -> np.ndarray:
+    """Finite-horizon reachability Gramian, by one augmented matrix exponential."""
+    n = A.shape[0]
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, :n] = A
+    M[:n, n:] = B @ B.T
+    M[n:, n:] = -A.T
+    E = expm(M * duration)
+    # E12 = int_0^T e^{(T-s)A} Q e^{-sA'} ds, so right-multiplying by e^{TA'}
+    # yields the Gramian.
+    return E[:n, n:] @ E[:n, :n].T
+
+
+GRAMIAN_RCOND_MIN = 1e-12
+
+
+def gramian_transfer_data(A: np.ndarray, B: np.ndarray, p0: np.ndarray, pf: np.ndarray,
+                          duration: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-energy transfer of x' = A x + B w from p0 to pf over [0, T = duration].
+
+    Returns w(t) = B' e^{(T-t)A'} eta, eta = W(T)^{-1} (pf - e^{TA} p0), and the
+    state phi(t) = e^{tA} p0 + W(t) e^{(T-t)A'} eta at the steps + 1 grid nodes;
+    phi is built incrementally and ends at pf up to round-off, which grows
+    with steps and with cond(W(T)).  Raises SingularGramian when W(T)'s
+    reciprocal condition is not finite or below GRAMIAN_RCOND_MIN, as when
+    (A, B) is not controllable.
+    """
+    n = A.shape[0]
+    dt = duration / steps
+    W_total = reachability_gramian(A, B, duration)
+    finite = np.isfinite(W_total).all()  # cond's SVD fails on inf or NaN entries
+    rcond = (1.0 / np.linalg.cond(W_total) if finite else 0.0) if n else 1.0
+    if not np.isfinite(rcond) or rcond < GRAMIAN_RCOND_MIN:
+        raise SingularGramian(
+            f"reciprocal condition {rcond:.2e} below {GRAMIAN_RCOND_MIN:.0e}"
+        )
+    eta = np.linalg.solve(W_total, pf - expm(A * duration) @ p0)
+    E = expm(A * dt)
+    W_dt = reachability_gramian(A, B, dt)
+    # backward factors v_k = e^{(T - t_k) A'} eta
+    v = np.empty((steps + 1, n))
+    v[steps] = eta
+    for k in range(steps - 1, -1, -1):
+        v[k] = E.T @ v[k + 1]
+    w = v @ B
+    phi = np.empty((steps + 1, n))
+    free = p0.copy()
+    W = np.zeros((n, n))
+    for k in range(steps + 1):
+        phi[k] = free + W @ v[k]
+        if k < steps:
+            free = E @ free
+            W = E @ W @ E.T + W_dt
+    return w, phi
 
 
 # ---------------------------------------------------------------------------

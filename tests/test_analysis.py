@@ -249,6 +249,12 @@ def test_analyze_proves_not_ir_with_one_rank_scan(monkeypatch, integrator):
     assert len(calls) == 1
 
 
+def test_analyze_raises_when_the_rank_scan_finds_no_witness(monkeypatch, integrator):
+    monkeypatch.setattr(analysis, "left_invertibility", lambda sys: (False, False))
+    with pytest.raises(ConsistencyError):
+        analyze(integrator, Subspace.full(1), Subspace.full(1))
+
+
 def analyze_with_mutated_record(monkeypatch, sys, mutate):
     original = geometry.output_nulling
     monkeypatch.setattr(analysis, "output_nulling", lambda s: mutate(original(s)))
@@ -415,8 +421,7 @@ def test_report_json_shape(four_input_system, four_input_constraints):
     assert back["N"]["basis"] == [["1"], ["0"]]
     assert back["uniform"] is True
     assert set(back["consistency_flags"]) == {
-        "nu_matches_dim_R", "transfer_system_matrix_agree",
-        "rank_test_matches_degree", "kind_preserved_from_unconstrained",
+        "nu_matches_dim_R", "kind_preserved_from_unconstrained",
     }
 
 

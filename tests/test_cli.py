@@ -412,6 +412,28 @@ SMALL_SIMULATE = {
 }
 
 
+@pytest.mark.parametrize("name,text,message", [
+    ("obj.json", '{"constraints": {}}', "top level: missing 'system'"),
+    ("arr.json", "[1]", "top level must be an object"),
+    ("bigint.json", '{"system": {"A": [[' + "9" * 5000 + ']]}}', "top level: not valid JSON"),
+], ids=["no-system", "array", "bigint"])
+def test_parse_error_names_the_file_once(tmp_path, capsys, name, text, message):
+    (tmp_path / name).write_text(text)
+    assert main(["analyze", str(tmp_path / name)]) == 3
+    err = capsys.readouterr().err
+    assert err.count(name) == 1 and message in err
+
+
+@pytest.mark.parametrize("bounds,sample", [(([None], [1]), -1e6), (([-1], [None]), 1e6)],
+                         ids=["lower", "upper"])
+def test_null_box_bound_is_unbounded_on_its_side(tmp_path, capsys, bounds, sample):
+    obj = json.loads(json.dumps(SMALL_SIMULATE))
+    obj["constraints"]["u"] = {"type": "box", "lower": bounds[0], "upper": bounds[1]}
+    obj["scenario"]["signals"]["z"] = signal_obj([[0.0], [sample], [0.0]], dt=0.1)
+    assert main(["simulate", write(tmp_path, "null.json", obj)]) == 0
+    assert '"admissible": true' in capsys.readouterr().out
+
+
 def write_with_literal(tmp_path, obj, literal):
     """Write obj as JSON with the string "LITERAL" replaced by a raw number
     literal that json.dumps cannot produce from a float."""
@@ -660,7 +682,7 @@ def test_grid_beyond_the_node_limit_is_a_parse_error(tmp_path, capsys, dt, horiz
     assert "scenario.grid" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag", ["--tol", "--dt", "--horizon"])
+@pytest.mark.parametrize("flag", ["--tol", "--dt", "--horizon", "--route"])
 @pytest.mark.parametrize("command", ["analyze", "certify", "simulate", "synthesize"])
 def test_removed_flags_are_usage_errors(tmp_path, capsys, command, flag):
     with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,14 @@
-"""Tests for the geometric control core."""
+"""Tests for the geometric control core, the float constructions built on it
+(the trajectory lift and the Gramian transfer, which live in `trajectory`),
+and the import boundary between the two."""
 
 from __future__ import annotations
 
+import ast
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,27 +16,31 @@ from scipy.integrate import quad_vec, solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
+import inred
 from inred.exact import RationalMatrix, Subspace, image, kernel, preimage
 from inred.geometry import (
     DegenerateStateSpace,
     FixpointNotConverged,
     NotControlledInvariant,
     PinnedBases,
-    SingularGramian,
     SystemQuadruple,
     adapted_basis,
     controllable_weakly_unobservable,
     friend,
-    gramian_transfer_input,
-    lift_trajectory,
     max_controlled_invariant,
     output_nulling,
-    reachability_gramian,
     reduce_system,
     weakly_unobservable,
     _fixpoint,
 )
-from inred.trajectory import Grid, SampledSignal
+from inred.trajectory import (
+    Grid,
+    SampledSignal,
+    SingularGramian,
+    gramian_transfer_data,
+    lift_trajectory,
+    reachability_gramian,
+)
 
 from conftest import random_matrix, random_subspace, random_system
 
@@ -357,20 +366,24 @@ def test_adapted_basis_structure_on_random_systems():
 
 
 def test_gramian_zero_endpoints_give_zero_input():
-    w = gramian_transfer_input([[0.0]], [[1.0]], [0.0], [0.0], 1.0, dt=0.01)
-    assert not w.values.any()
+    w, phi = gramian_transfer_data(np.zeros((1, 1)), np.ones((1, 1)), np.zeros(1), np.zeros(1),
+                                   1.0, 100)
+    assert w.shape == (101, 1) and phi.shape == (101, 1)
+    assert not w.any() and not phi.any()
 
 
 def test_gramian_pure_integrator_constant_input():
-    w = gramian_transfer_input([[0.0]], [[1.0]], [0.0], [1.0], 1.0, dt=0.01)
-    assert np.allclose(w.values, 1.0, atol=1e-12)
+    w, phi = gramian_transfer_data(np.zeros((1, 1)), np.ones((1, 1)), np.zeros(1), np.ones(1),
+                                   1.0, 100)
+    assert np.allclose(w, 1.0, atol=1e-12)
+    assert np.allclose(phi[:, 0], np.linspace(0.0, 1.0, 101), atol=1e-12)
 
 
 def test_gramian_stable_scalar_against_quadrature_oracle():
     A = np.array([[-1.0]])
     B = np.array([[1.0]])
-    w = gramian_transfer_input(A, B, [0.0], [1.0], 1.0, dt=1e-3)
-    spline = CubicSpline(w.times(), w.values)
+    w, _ = gramian_transfer_data(A, B, np.zeros(1), np.ones(1), 1.0, 1000)
+    spline = CubicSpline(np.linspace(0.0, 1.0, 1001), w)
     sol = solve_ivp(lambda t, x: A @ x + B @ spline(t), (0, 1.0), [0.0],
                     rtol=1e-12, atol=1e-14)
     assert abs(sol.y[0, -1] - 1.0) <= 1e-8
@@ -391,7 +404,7 @@ def test_gramian_rejects_uncontrollable_pair():
     A = np.diag([1.0, 2.0])
     B = np.array([[1.0], [0.0]])
     with pytest.raises(SingularGramian):
-        gramian_transfer_input(A, B, [0, 0], [1, 1], 1.0)
+        gramian_transfer_data(A, B, np.zeros(2), np.ones(2), 1.0, 1000)
 
 
 def draw_controllable_pair(rng, n_max=4, m_max=2, cond_cap=1e6):
@@ -424,15 +437,21 @@ def test_gramian_endpoint_error_random_controllable_pairs():
         n = A.shape[0]
         p0 = rng.uniform(-1, 1, n)
         pf = rng.uniform(-1, 1, n)
-        w = gramian_transfer_input(A, B, p0, pf, T, dt=1e-3)
+        steps = round(T / 1e-3)
+        w, phi = gramian_transfer_data(A, B, p0, pf, T, steps)
         W_quad, _ = quad_vec(lambda s: expm(s * A) @ B @ B.T @ expm(s * A.T),
                              0, T, epsabs=1e-13, epsrel=1e-13)
         eta = np.linalg.solve(W_quad, pf - expm(A * T) @ p0)
         # sampled values match the closed form at (a subset of) the nodes
-        ts = w.times()[::131]
+        ts = np.linspace(0.0, T, steps + 1)[::131]
         w_ref = np.array([B.T @ expm(A.T * (T - t)) @ eta for t in ts])
         scale = 1 + np.max(np.abs(w_ref))
-        assert np.max(np.abs(w.values[::131] - w_ref)) <= 1e-8 * scale
+        assert np.max(np.abs(w[::131] - w_ref)) <= 1e-8 * scale
+        # the returned state starts at p0 and ends at pf to round-off: each of
+        # the `steps` updates of the closed form rounds, amplified by cond(W)
+        assert np.array_equal(phi[0], p0)
+        round_off = steps * np.finfo(float).eps * np.linalg.cond(W_quad)
+        assert np.linalg.norm(phi[-1] - pf) <= round_off * (1 + np.linalg.norm(pf))
         # endpoint of the induced trajectory: x' = Ax + B w(t) with
         # w = B' q, q' = -A' q, q(0) = e^{A'T} eta
         M = np.block([[A, B @ B.T], [np.zeros((n, n)), -A.T]])
@@ -440,3 +459,41 @@ def test_gramian_endpoint_error_random_controllable_pairs():
         sol = solve_ivp(lambda t, z: M @ z, (0, T), z0, rtol=1e-12, atol=1e-14)
         err = np.linalg.norm(sol.y[:n, -1] - pf)
         assert err <= 1e-8 * (1 + np.linalg.norm(pf))
+
+
+# ---------------------------------------------------------------------------
+# module boundaries
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "inred"
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Top-level names of a module's absolute imports, and ".name" for each
+    relative one, wherever in the module they appear."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            names |= ({"." + node.module} if node.module
+                      else {"." + alias.name for alias in node.names})
+    return names
+
+
+def test_geometry_imports_only_the_standard_library_and_exact():
+    names = imported_modules(PACKAGE / "geometry.py")
+    assert names - sys.stdlib_module_names == {".exact"}
+
+
+def test_only_the_trajectory_engine_imports_scipy():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 1
+    assert [m.name for m in modules if "scipy" in imported_modules(m)] == ["trajectory.py"]
+
+
+def test_package_names_resolve_to_the_trajectory_engine():
+    assert inred.SingularGramian is SingularGramian
+    assert inred.lift_trajectory is lift_trajectory
+    assert not hasattr(inred, "gramian_transfer_input")
