@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -275,17 +274,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("--out must name a directory when several files are given", file=sys.stderr)
         return EXIT_PARSE
 
-    def target(path: str) -> int:
-        out = None
-        if out_dir is not None:
-            out = out_dir / (Path(path).stem + _OUT_SUFFIX[args.command])
-        return _run_one(path, args, out)
+    outs = [out_dir / (Path(path).stem + _OUT_SUFFIX[args.command]) if out_dir else None
+            for path in paths]
+    writers: dict[Path, str] = {}
+    for path, out in zip(paths, outs):
+        if out in writers:  # two inputs with one stem: refuse before running either
+            print(f"{writers[out]} and {path} would both write {out}", file=sys.stderr)
+            return EXIT_PARSE
+        if out is not None:
+            writers[out] = path
 
     if args.jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(pool.map(target, paths))
+            codes = list(pool.map(_run_one, paths, [args] * len(paths), outs))
     else:
-        codes = [target(p) for p in paths]
+        codes = [_run_one(path, args, out) for path, out in zip(paths, outs)]
     return max(codes)
 
 

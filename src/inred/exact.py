@@ -10,7 +10,8 @@ coincide with subspace equality.
 
 `geometry` and `analysis` build on this module and the standard library
 alone.  Floating point is confined to the trajectory layer (`trajectory` and
-`synthesis`); `to_float` is the only bridge.
+`synthesis`); `to_float` is the only bridge, and the only place this
+module imports numpy.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 ScalarLike = Union[Fraction, int, Decimal, str]
 VectorLike = Sequence[ScalarLike]
@@ -260,6 +262,8 @@ class RationalMatrix:
     # -- conversion --------------------------------------------------------
 
     def to_float(self) -> np.ndarray:
+        import numpy as np
+
         out = np.empty((self.rows, self.cols), dtype=float)
         try:
             for i, row in enumerate(self.entries):

@@ -10,6 +10,10 @@ boundary residence, signal comparison).
 The discretization is exact for inputs representable by their declared
 interpolation rule, so halving the step changes trajectories only at the
 round-off level.
+
+scipy (for `scipy.linalg.expm`) is imported on the first matrix
+exponential, not with this module, so `inred analyze`, which never
+simulates, never loads it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .exact import DimensionMismatch, Subspace
 
@@ -346,6 +349,13 @@ def _float_system(sys: "SystemQuadruple") -> tuple[np.ndarray, np.ndarray, np.nd
     return sys.A.to_float(), sys.B.to_float(), sys.C.to_float(), sys.D.to_float()
 
 
+def _expm(M: np.ndarray) -> np.ndarray:
+    """`scipy.linalg.expm`, imported on the first call (see the module docstring)."""
+    from scipy.linalg import expm
+
+    return expm(M)
+
+
 def _step_matrices(A: np.ndarray, B: np.ndarray, dt: float,
                    interpolation: Interpolation) -> tuple[np.ndarray, ...]:
     n, m = B.shape
@@ -353,14 +363,14 @@ def _step_matrices(A: np.ndarray, B: np.ndarray, dt: float,
         M = np.zeros((n + m, n + m))
         M[:n, :n] = A
         M[:n, n:] = B
-        E = expm(M * dt)
+        E = _expm(M * dt)
         return E[:n, :n], E[:n, n:]
     # piecewise linear: augment with the input and its (constant) slope
     M = np.zeros((n + 2 * m, n + 2 * m))
     M[:n, :n] = A
     M[:n, n:n + m] = B
     M[n:n + m, n + m:] = np.eye(m)
-    E = expm(M * dt)
+    E = _expm(M * dt)
     return E[:n, :n], E[:n, n:n + m], E[:n, n + m:]
 
 
@@ -438,7 +448,7 @@ def reachability_gramian(A: np.ndarray, B: np.ndarray, duration: float) -> np.nd
     M[:n, :n] = A
     M[:n, n:] = B @ B.T
     M[n:, n:] = -A.T
-    E = expm(M * duration)
+    E = _expm(M * duration)
     # E12 = int_0^T e^{(T-s)A} Q e^{-sA'} ds, so right-multiplying by e^{TA'}
     # yields the Gramian.
     return E[:n, n:] @ E[:n, :n].T
@@ -467,8 +477,8 @@ def gramian_transfer_data(A: np.ndarray, B: np.ndarray, p0: np.ndarray, pf: np.n
         raise SingularGramian(
             f"reciprocal condition {rcond:.2e} below {GRAMIAN_RCOND_MIN:.0e}"
         )
-    eta = np.linalg.solve(W_total, pf - expm(A * duration) @ p0)
-    E = expm(A * dt)
+    eta = np.linalg.solve(W_total, pf - _expm(A * duration) @ p0)
+    E = _expm(A * dt)
     W_dt = reachability_gramian(A, B, dt)
     # backward factors v_k = e^{(T - t_k) A'} eta
     v = np.empty((steps + 1, n))

@@ -7,6 +7,9 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +22,7 @@ from inred.cli import main
 from inred.scenario import MAX_GRID_NODES, dump_scenario, load_scenario
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write(tmp_path, name, obj):
@@ -742,3 +746,79 @@ def test_multi_file_worst_exit_code(tmp_path):
     out_dir = tmp_path / "reports"
     out_dir.mkdir()
     assert main(["analyze", good, str(bad), "--out", str(out_dir)]) == 3
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_inputs_with_one_stem_are_refused_before_running(tmp_path, capsys, jobs):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    p1 = write(tmp_path / "a", "s.json", four_input_scenario())
+    p2 = write(tmp_path / "b", "s.json", {
+        "system": FOUR_INPUT_SYSTEM,
+        "constraints": {"u": {"type": "full"}, "x": {"type": "full"}}})
+    out_dir = tmp_path / "reports"
+    out_dir.mkdir()
+    assert main(["analyze", p1, p2, "--out", str(out_dir), "--jobs", jobs]) == 3
+    err = capsys.readouterr().err
+    assert p1 in err and p2 in err
+    assert list(out_dir.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# what a fresh interpreter loads
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """Standard output of `code` run in a fresh interpreter with `src` on its path."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+LOADED_SCIPY = """
+import json, sys
+import inred
+bare = "scipy" in sys.modules
+from inred.cli import main
+analyze = main(["analyze", sys.argv[1], "--out", sys.argv[2]])
+after_analyze = "scipy" in sys.modules
+certify = main(["certify", sys.argv[3], "--out", sys.argv[4]])
+print(json.dumps([bare, analyze, after_analyze, certify, "scipy" in sys.modules]))
+"""
+
+
+def test_analyze_never_loads_scipy_and_certify_does(tmp_path):
+    scenario = write(tmp_path, "four_input.json", four_input_scenario())
+    buck = write(tmp_path, "buck.json",
+                 buck_certify_scenario(ramp_values().tolist(), [0.2, 0.1, 0.3]))
+    report, cert = tmp_path / "report.json", tmp_path / "cert.json"
+    loaded = json.loads(run_fresh(LOADED_SCIPY, scenario, str(report), buck, str(cert)))
+    assert loaded == [False, 0, False, 0, True]
+    assert json.loads(report.read_text())["kind"] == "Kind2"
+    assert json.loads(cert.read_text())["route"]["type"] == "state_loop"
+
+
+BATCH = """
+import sys
+from inred.cli import main
+assert "scipy" not in sys.modules
+jobs, out_dir, *paths = sys.argv[1:]
+print(main(["certify", *paths, "--out", out_dir, "--jobs", jobs]))
+"""
+
+
+def test_first_scipy_import_in_worker_threads_matches_one_job(tmp_path):
+    # with --jobs 2 the first matrix exponential, and so the scipy import,
+    # runs in two threads at once
+    paths = [write(tmp_path, f"buck{i}.json", buck_certify_scenario(ramp_values().tolist(), x0))
+             for i, x0 in enumerate([[0.2, 0.1, 0.3], [0.0, 0.0, 0.0]])]
+    results = {}
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"jobs{jobs}"
+        out_dir.mkdir()
+        code = run_fresh(BATCH, jobs, str(out_dir), *paths)
+        results[jobs] = (code, {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())})
+    assert len(results["1"][1]) == 2
+    assert results["2"] == results["1"]

@@ -467,18 +467,37 @@ def test_gramian_endpoint_error_random_controllable_pairs():
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "inred"
 
 
+def import_names(node: ast.AST) -> set[str]:
+    """Top-level names of an absolute import statement, ".name" for each
+    module of a relative one, and nothing for any other node."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return {node.module.split(".")[0]}
+    if isinstance(node, ast.ImportFrom):
+        return {"." + node.module} if node.module else {"." + alias.name for alias in node.names}
+    return set()
+
+
 def imported_modules(path: Path) -> set[str]:
-    """Top-level names of a module's absolute imports, and ".name" for each
-    relative one, wherever in the module they appear."""
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Import):
-            names |= {alias.name.split(".")[0] for alias in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.add(node.module.split(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            names |= ({"." + node.module} if node.module
-                      else {"." + alias.name for alias in node.names})
+    """`import_names` of a module's imports, wherever in the module they appear."""
+    return set().union(*map(import_names, ast.walk(ast.parse(path.read_text()))))
+
+
+def module_level_imports(path: Path) -> set[str]:
+    """`import_names` of the imports that run when the module is imported:
+    those outside function bodies and `if TYPE_CHECKING:` blocks."""
+    names: set[str] = set()
+    pending = list(ast.parse(path.read_text()).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            pending.extend(node.orelse)
+            continue
+        names |= import_names(node)
+        pending.extend(ast.iter_child_nodes(node))
     return names
 
 
@@ -491,6 +510,17 @@ def test_only_the_trajectory_engine_imports_scipy():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 1
     assert [m.name for m in modules if "scipy" in imported_modules(m)] == ["trajectory.py"]
+
+
+def test_no_module_imports_scipy_at_module_level():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert "numpy" in module_level_imports(PACKAGE / "trajectory.py")
+    assert [m.name for m in modules if "scipy" in module_level_imports(m)] == []
+
+
+@pytest.mark.parametrize("name", ["exact.py", "geometry.py", "analysis.py"])
+def test_exact_core_imports_no_numpy_at_module_level(name):
+    assert "numpy" not in module_level_imports(PACKAGE / name)
 
 
 def test_package_names_resolve_to_the_trajectory_engine():
