@@ -7,6 +7,11 @@ output-nulling feedback that produces a nonzero input with zero output for
 an input-redundant system, a point where the system matrix has full column
 rank for one that is not.  All decisions are exact and deterministic.
 
+A constrained system is classified through its reduction to an
+unconstrained one on V*.  With full sets (U = R^m, X = R^n) the system is
+its own reduction up to a state feedback, which changes none of V, N, R,
+the kind or the degree, so `analyze` classifies it in one exact pass.
+
 Kinds: an input-redundant system is of the 1st kind when distinct inputs
 producing one output force equal state trajectories, of the 2nd kind when
 they force distinct ones, and of the 3rd kind when both situations occur.
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
-from .exact import DimensionMismatch, RationalMatrix, Subspace, kernel
+from .exact import DimensionMismatch, RationalMatrix, Subspace, kernel, preimage
 from .geometry import (
     DegenerateStateSpace,
     OutputNulling,
@@ -28,6 +33,7 @@ from .geometry import (
     SystemQuadruple,
     output_nulling,
     reduce_system,
+    weakly_unobservable,
 )
 
 
@@ -163,6 +169,13 @@ def analyze_degenerate(sys: SystemQuadruple, u_set: Subspace) -> RedundancyRepor
     )
 
 
+def _unconstrained_kind(sys: SystemQuadruple) -> Kind:
+    """The kind of `sys` with U = R^m and X = R^n, from V and N alone."""
+    rho = joint_kernel_dim(sys.B, sys.D)
+    N = preimage(sys.B, weakly_unobservable(sys)) & kernel(sys.D)
+    return kind_of(rho, N.dim - rho)
+
+
 def analyze(sys: SystemQuadruple, u_set: Subspace, x_set: Subspace,
             pinned: Optional[PinnedBases] = None) -> RedundancyReport:
     """Full classification of a linearly constrained system.
@@ -172,27 +185,41 @@ def analyze(sys: SystemQuadruple, u_set: Subspace, x_set: Subspace,
     (the output-nulling record if redundant, `left_invertibility` if not),
     and records named consistency checks (kind preservation from the
     unconstrained system and the nu/controllable-subspace equivalence).
+
+    With full sets and no pinned bases the system is its own reduction: the
+    reduction would only apply a state feedback, which leaves V, N and R,
+    hence the whole report, unchanged (Morse 1973).  It is then classified
+    directly, and the kind-preserved flag is true by definition.
     """
-    try:
-        bundle = reduce_system(sys, u_set, x_set, pinned=pinned)
-    except DegenerateStateSpace:
-        return analyze_degenerate(sys, u_set)
-    on = output_nulling(bundle.sys)
-    base = _classify(bundle.sys, on)
+    if u_set.ambient_dim != sys.m:
+        raise DimensionMismatch("input constraint set must live in R^m")
+    if x_set.ambient_dim != sys.n:
+        raise DimensionMismatch("state constraint set must live in R^n")
+    unconstrained = (pinned in (None, PinnedBases())
+                     and u_set.is_full() and x_set.is_full())
+    reduced = sys
+    if not unconstrained:
+        try:
+            reduced = reduce_system(sys, u_set, x_set, pinned=pinned).sys
+        except DegenerateStateSpace:
+            return analyze_degenerate(sys, u_set)
+    on = output_nulling(reduced)
+    base = _classify(reduced, on)
     if base.is_ir:
-        _check_ir_witness(bundle.sys, on)
+        _check_ir_witness(reduced, on)
         g_inv = p_inv = False
     else:
-        g_inv, p_inv = left_invertibility(bundle.sys)
+        g_inv, p_inv = left_invertibility(reduced)
         if not p_inv:
             raise ConsistencyError("normal-rank route disagrees with the exact degree computation")
-    unconstrained = degree_and_kind(sys)
+    # with full sets the system is its own reduction, so the kinds agree
+    free_kind = base.kind if unconstrained else _unconstrained_kind(sys)
 
     flags = {
         "nu_matches_dim_R": (base.nu > 0) == (base.dim_R > 0),
         "kind_preserved_from_unconstrained": (
-            unconstrained.kind not in (Kind.FIRST, Kind.SECOND)
-            or base.kind in (Kind.NOT_IR, unconstrained.kind)
+            free_kind not in (Kind.FIRST, Kind.SECOND)
+            or base.kind in (Kind.NOT_IR, free_kind)
         ),
     }
     return replace(base, left_invertible_G=g_inv, left_invertible_P=p_inv,

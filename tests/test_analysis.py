@@ -26,7 +26,7 @@ from inred.analysis import (
     report_to_text,
 )
 from inred.exact import DimensionMismatch, RationalMatrix, Subspace, image, kernel
-from inred.geometry import DegenerateStateSpace, SystemQuadruple, reduce_system
+from inred.geometry import DegenerateStateSpace, PinnedBases, SystemQuadruple, reduce_system
 
 from conftest import random_subspace, random_system
 
@@ -222,28 +222,33 @@ def test_left_invertibility_rank_deficient_feedthrough(B, expected):
 # the exact witness behind each analyze verdict
 
 
-def count_left_invertibility(monkeypatch):
+def count_calls(monkeypatch, original):
+    """The argument tuples of every call of `original`, through any binding
+    of it in the loaded `inred` modules."""
     calls = []
-    original = analysis.left_invertibility
 
-    def counted(sys):
-        calls.append(sys)
-        return original(sys)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "left_invertibility", counted)
+    for name, module in list(pysys.modules.items()):
+        if name == "inred" or name.startswith("inred."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
     return calls
 
 
 def test_analyze_proves_ir_without_a_rank_scan(monkeypatch, four_input_system,
                                                four_input_constraints):
-    calls = count_left_invertibility(monkeypatch)
+    calls = count_calls(monkeypatch, analysis.left_invertibility)
     rep = analyze(four_input_system, *four_input_constraints)
     assert rep.is_ir and rep.left_invertible_P is False
     assert calls == []
 
 
 def test_analyze_proves_not_ir_with_one_rank_scan(monkeypatch, integrator):
-    calls = count_left_invertibility(monkeypatch)
+    calls = count_calls(monkeypatch, analysis.left_invertibility)
     rep = analyze(integrator, Subspace.full(1), Subspace.full(1))
     assert not rep.is_ir and rep.left_invertible_P is True
     assert len(calls) == 1
@@ -367,22 +372,97 @@ def test_analyze_integrator_full_spaces(integrator):
 def test_analyze_computes_weakly_unobservable_once_per_system(
         monkeypatch, four_input_system, four_input_constraints):
     # one call for the reduced system, one for the unconstrained one
-    original = geometry.weakly_unobservable
-    calls = []
-
-    def counted(sys):
-        calls.append(sys)
-        return original(sys)
-
-    for name, module in list(pysys.modules.items()):
-        if name == "inred" or name.startswith("inred."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    calls = count_calls(monkeypatch, geometry.weakly_unobservable)
     u_set, x_set = four_input_constraints
     report = analyze(four_input_system, u_set, x_set)
     assert report.l > 0
     assert len(calls) == 2
+
+
+def count_exact_passes(monkeypatch):
+    """Call lists of the reduction, the V fixpoint and the unconstrained
+    classification, in that order."""
+    return tuple(count_calls(monkeypatch, fn) for fn in (
+        geometry.reduce_system, geometry.weakly_unobservable, analysis.degree_and_kind))
+
+
+@pytest.mark.parametrize("pinned", [None, PinnedBases()])
+def test_unconstrained_analyze_is_one_exact_pass(monkeypatch, four_input_system, pinned):
+    calls = count_exact_passes(monkeypatch)
+    report = analyze(four_input_system, Subspace.full(4), Subspace.full(3), pinned=pinned)
+    assert report.kind is Kind.THIRD
+    assert report.consistency_flags["kind_preserved_from_unconstrained"] is True
+    assert [len(c) for c in calls] == [0, 1, 0]
+
+
+@pytest.mark.parametrize("pin", ["R", "F", "L"])
+def test_pinned_full_sets_keep_the_reduction(monkeypatch, four_input_system, pin):
+    values = {"R": RationalMatrix.identity(4), "F": RationalMatrix.zeros(4, 3),
+              "L": RationalMatrix.identity(4)}
+    calls = count_exact_passes(monkeypatch)
+    full = (Subspace.full(4), Subspace.full(3))
+    pinned = analyze(four_input_system, *full, pinned=PinnedBases(**{pin: values[pin]}))
+    assert [len(c) for c in calls] == [1, 2, 0]
+    assert pinned == analyze(four_input_system, *full)
+
+
+@pytest.mark.parametrize("u_dim, x_dim", [(3, 3), (5, 3), (4, 2), (4, 4)])
+def test_full_sets_of_the_wrong_dimension_are_refused(four_input_system, u_dim, x_dim):
+    with pytest.raises(DimensionMismatch):
+        analyze(four_input_system, Subspace.full(u_dim), Subspace.full(x_dim))
+
+
+# seeds of `random_system` draws for each kind, with m = 1 and with D != 0
+KIND_SEEDS = {
+    1: (Kind.NOT_IR, 1, True), 197: (Kind.NOT_IR, 1, False),
+    21: (Kind.FIRST, 4, True), 232: (Kind.FIRST, 1, False),
+    0: (Kind.SECOND, 4, True), 2: (Kind.SECOND, 1, False),
+    31: (Kind.THIRD, 4, True),
+}
+
+
+def test_kind_seeds_draw_what_they_name():
+    for seed, (kind, m, feedthrough) in KIND_SEEDS.items():
+        sys = random_system(random.Random(seed))
+        report = analyze(sys, Subspace.full(sys.m), Subspace.full(sys.n))
+        assert (report.kind, sys.m, not sys.D.is_zero()) == (kind, m, feedthrough), seed
+
+
+def with_kind_seeds(test):
+    for seed in KIND_SEEDS:
+        test = example(seed=seed)(test)
+    return test
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32))
+@with_kind_seeds
+def test_one_pass_matches_the_reduction(seed):
+    # a pinned R forces the reduction, so the shortcut is checked against it
+    sys = random_system(random.Random(seed))
+    full = (Subspace.full(sys.m), Subspace.full(sys.n))
+    direct = analyze(sys, *full)
+    reduced = analyze(sys, *full, pinned=PinnedBases(R=RationalMatrix.identity(sys.m)))
+    assert direct == reduced
+    assert (json.dumps(report_to_dict(direct), indent=2)
+            == json.dumps(report_to_dict(reduced), indent=2))
+    assert report_to_text(direct) == report_to_text(reduced)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32))
+@with_kind_seeds
+def test_kind_preserved_flag_reads_the_unconstrained_kind(seed):
+    rng = random.Random(seed)
+    sys = random_system(rng)
+    free = degree_and_kind(sys).kind
+    assert analysis._unconstrained_kind(sys) is free
+    u_set = random_subspace(rng, sys.m, rng.randint(0, sys.m))
+    x_set = random_subspace(rng, sys.n, rng.randint(1, sys.n))
+    report = analyze(sys, u_set, x_set)
+    if report.l > 0:
+        expected = free not in (Kind.FIRST, Kind.SECOND) or report.kind in (Kind.NOT_IR, free)
+        assert report.consistency_flags["kind_preserved_from_unconstrained"] is expected
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import pytest
 
 import inred.cli
 from inred.cli import main
+from inred.exact import Subspace
 from inred.scenario import MAX_GRID_NODES, dump_scenario, load_scenario
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
@@ -190,6 +191,48 @@ def test_analyze_dimension_mismatch(tmp_path):
     obj["constraints"]["u"] = {"type": "subspace", "span": [[1, 0, 0]]}
     path = write(tmp_path, "bad_dims.json", obj)
     assert main(["analyze", path]) == 6
+
+
+def full_four_input_scenario(**pinned):
+    obj = {"system": FOUR_INPUT_SYSTEM,
+           "constraints": {"u": {"type": "full"}, "x": {"type": "full"}}}
+    if pinned:
+        obj["scenario"] = {"pinned": pinned}
+    return obj
+
+
+def test_pin_bases_with_full_sets_keeps_the_reduction(tmp_path, capsys, monkeypatch):
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    path = write(tmp_path, "pinned_full.json", full_four_input_scenario(R=identity))
+    reductions = []
+    original = inred.cli.analysis.reduce_system
+
+    def counted(*args, **kwargs):
+        reductions.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(inred.cli.analysis, "reduce_system", counted)
+    outputs = []
+    for flags in ([], ["--pin-bases"]):
+        assert main(["analyze", path, *flags]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(reductions) == 1  # only the pinned run reduces
+    assert outputs[0] == outputs[1]
+
+
+def test_bad_pinned_friend_with_full_sets_is_refused(tmp_path, capsys):
+    path = write(tmp_path, "bad_friend.json", full_four_input_scenario(F=[[0, 0], [0, 0]]))
+    assert main(["analyze", path, "--pin-bases"]) == 3
+    assert "F has the wrong shape" in capsys.readouterr().err
+    assert main(["analyze", path]) == 0  # the pins are read only on request
+
+
+def test_full_set_of_the_wrong_dimension_exits_6(tmp_path, capsys, monkeypatch):
+    # the parser sizes a full set from the system, so widen it after parsing
+    monkeypatch.setattr(inred.cli, "require_linear", lambda cs: Subspace.full(cs.dim + 1))
+    path = write(tmp_path, "full.json", full_four_input_scenario())
+    assert main(["analyze", path]) == 6
+    assert "input constraint set must live in R^m" in capsys.readouterr().err
 
 
 def test_analyze_text_format(tmp_path, capsys):
