@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import importlib.util
 import io
@@ -865,3 +866,49 @@ def test_first_scipy_import_in_worker_threads_matches_one_job(tmp_path):
         results[jobs] = (code, {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())})
     assert len(results["1"][1]) == 2
     assert results["2"] == results["1"]
+
+
+CALL_MAIN = """
+import contextlib, io, json, sys
+from inred.cli import main
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+
+def test_calls_in_one_process_match_fresh_calls(tmp_path):
+    # the parser is built once per process; no call may leave state for the next
+    analyze = write(tmp_path, "four_input.json", four_input_scenario())
+    buck = write(tmp_path, "buck.json",
+                 buck_certify_scenario(ramp_values().tolist(), [0.2, 0.1, 0.3]))
+    calls = [
+        ["analyze", analyze, "--format", "text"],
+        ["analyze", analyze, "--bogus"],
+        ["certify", buck, "--out", "{out}"],
+        ["analyze", analyze],
+    ]
+    results = {}
+    for where in ("fresh", "in-process"):
+        results[where] = []
+        for i, argv in enumerate(calls):
+            out = tmp_path / f"{where}{i}.json"
+            argv = [arg.format(out=out) for arg in argv]
+            if where == "fresh":
+                code, stdout, stderr = json.loads(run_fresh(CALL_MAIN, *argv))
+            else:
+                stdout_io, stderr_io = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout_io), contextlib.redirect_stderr(stderr_io):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                stdout, stderr = stdout_io.getvalue(), stderr_io.getvalue()
+            written = out.read_bytes() if out.exists() else None
+            results[where].append((code, stdout, stderr, written))
+    assert [r[0] for r in results["fresh"]] == [0, 2, 0, 0]
+    assert results["in-process"] == results["fresh"]

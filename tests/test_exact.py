@@ -525,3 +525,270 @@ def test_rref_and_rank_match_sympy(problem):
         assert [list(r) for r in ours.entries] == expect
         assert our_pivots == tuple(pivots)
         assert M.rank() == dm.rank()
+
+
+# ---------------------------------------------------------------------------
+# the rest of the exact API against plain-Fraction references
+#
+# Each reference below works on lists of `Fraction` rows with `rref_fraction`
+# alone, so it pins the results of the integer-backed implementation to what
+# `Fraction` elimination gives.
+
+
+EDGE_PROBLEMS = (
+    (0, 2, 3, [], [[1, 2, 3], [4, 5, 6]]),  # 0 rows
+    (2, 3, 0, [[1, 2, 3], [0, 0, 0]], [[], [], []]),  # 0 columns
+    (2, 0, 3, [[], []], []),  # inner dimension 0
+    NEGATIVE_PIVOTS,
+    BIG_ENTRIES,
+)
+
+
+def with_edge_examples(test):
+    for problem in EDGE_PROBLEMS:
+        test = example(problem=problem)(test)
+    return test
+
+
+def rows_of(m):
+    return [list(r) for r in m.entries]
+
+
+def ref_transpose(rows, ncols):
+    return [[r[j] for r in rows] for j in range(ncols)]
+
+
+def ref_matmul(a, b, bcols):
+    return [[sum((x * b[k][j] for k, x in enumerate(row)), Fraction(0)) for j in range(bcols)]
+            for row in a]
+
+
+def ref_hstack(a, b):
+    return [list(x) + list(y) for x, y in zip(a, b)]
+
+
+def ref_image(rows, ncols):
+    """Canonical basis (rows of the ambient space) of the column span."""
+    red, pivots = rref_fraction(ref_transpose(rows, ncols), len(rows))
+    return ref_transpose(red[:len(pivots)], len(rows))
+
+
+def ref_kernel_columns(rows, ncols):
+    red, pivots = rref_fraction([list(r) for r in rows], ncols)
+    free = [j for j in range(ncols) if j not in pivots]
+    out = [[Fraction(0)] * len(free) for _ in range(ncols)]
+    for k, j in enumerate(free):
+        out[j][k] = Fraction(1)
+        for r, c in enumerate(pivots):
+            out[c][k] = -red[r][j]
+    return out, len(free)
+
+
+def ref_kernel(rows, ncols):
+    return ref_image(*ref_kernel_columns(rows, ncols))
+
+
+def ref_solve(a, acols, rhs, rcols):
+    """Particular solution with free variables zero, or None if inconsistent."""
+    red, pivots = rref_fraction(ref_hstack(a, rhs), acols + rcols)
+    if any(p >= acols for p in pivots):
+        return None
+    out = [[Fraction(0)] * rcols for _ in range(acols)]
+    for r, c in enumerate(pivots):
+        out[c] = red[r][acols:]
+    return out
+
+
+def ref_preimage(a, acols, target, tcols):
+    if tcols == 0:
+        return ref_kernel(a, acols)
+    null, k = ref_kernel_columns(ref_hstack(a, target), acols + tcols)
+    return ref_image(null[:acols], k)
+
+
+def ref_intersection(v, vdim, w, wdim):
+    if vdim == 0 or wdim == 0:
+        return [[] for _ in v]
+    null, k = ref_kernel_columns(ref_hstack(v, w), vdim + wdim)
+    return ref_image(ref_matmul(v, null[:vdim], k), k)
+
+
+def dims(basis):
+    return len(basis[0]) if basis else 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=factor_pair())
+@with_edge_examples
+def test_solve_and_inverse_match_fraction_reference(problem):
+    L, R, P = factor_matrices(problem)
+    for A, rhs in ((L, P), (P, L)):  # consistent by construction, then maybe not
+        ours = A.solve_columns(rhs)
+        expect = ref_solve(rows_of(A), A.cols, rows_of(rhs), rhs.cols)
+        assert (None if ours is None else rows_of(ours)) == expect
+        assert ours is None or (ours.shape == (A.cols, rhs.cols) and all_fractions(ours))
+    for M in (L, R, P):
+        if M.rows != M.cols:
+            with pytest.raises(DimensionMismatch):
+                M.inverse()
+            continue
+        identity = [[Fraction(int(i == j)) for j in range(M.cols)] for i in range(M.rows)]
+        expect = ref_solve(rows_of(M), M.cols, identity, M.cols)
+        if expect is None:
+            with pytest.raises(ValueError):
+                M.inverse()
+        else:
+            assert rows_of(M.inverse()) == expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=factor_pair())
+@with_edge_examples
+def test_subspace_operations_match_fraction_reference(problem):
+    L, R, P = factor_matrices(problem)
+    for M in (L, R, P):
+        assert rows_of(kernel(M).basis) == ref_kernel(rows_of(M), M.cols)
+        assert rows_of(image(M).basis) == ref_image(rows_of(M), M.cols)
+    V, W = image(L), image(P)  # both in R^m
+    v, w = rows_of(V.basis), rows_of(W.basis)
+    assert rows_of(preimage(L, W).basis) == ref_preimage(rows_of(L), L.cols, w, W.dim)
+    assert rows_of(preimage(P, V).basis) == ref_preimage(rows_of(P), P.cols, v, V.dim)
+    assert rows_of((V + W).basis) == ref_image(ref_hstack(v, w), V.dim + W.dim)
+    assert rows_of((V & W).basis) == ref_intersection(v, V.dim, w, W.dim)
+    assert (V <= W) == (V.dim == 0 or ref_solve(w, W.dim, v, V.dim) is not None)
+    assert (W <= V) == (W.dim == 0 or ref_solve(v, V.dim, w, W.dim) is not None)
+    for space, basis, other in ((W, w, L), (V, v, P)):
+        for j in range(other.cols):
+            col = [[x] for x in other.col(j)]
+            inside = (all(x[0] == 0 for x in col)
+                      or ref_solve(basis, dims(basis), col, 1) is not None)
+            assert space.contains(other.col(j)) == inside
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=factor_pair())
+@with_edge_examples
+def test_completion_and_restriction_match_fraction_reference(problem):
+    L, R, P = factor_matrices(problem)
+    m = L.rows
+    for current, candidates in ((L, [P]), (P, [L, RationalMatrix.identity(m)])):
+        stacked = rows_of(current)
+        for cand in candidates:
+            stacked = ref_hstack(stacked, rows_of(cand)) if m else []
+        ncols = current.cols + sum(c.cols for c in candidates)
+        _, pivots = rref_fraction([list(r) for r in stacked], ncols)
+        keep = [c for c in pivots if c >= current.cols]
+        extra = complete_basis(current, candidates)
+        assert extra.shape == (m, len(keep))
+        assert rows_of(extra) == [[row[c] for c in keep] for row in stacked]
+    if L.rows != L.cols:
+        return
+    closure = image(P)
+    for _ in range(m):
+        closure = closure + image(L @ closure.basis)
+    for space in (image(P), closure):
+        basis = rows_of(space.basis)
+        expect = ref_solve(basis, space.dim, ref_matmul(rows_of(L), basis, space.dim),
+                           space.dim)
+        if expect is None:
+            assert space is not closure
+            with pytest.raises(InvarianceViolated):
+                restriction_matrix(L, space)
+        else:
+            assert rows_of(restriction_matrix(L, space)) == expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=factor_pair())
+@with_edge_examples
+def test_strings_equality_and_hash_match_fraction_reference(problem):
+    m, k, n, left, right = problem
+    L, R, P = factor_matrices(problem)
+    for M, rows in ((L, left), (R, right)):
+        expect = [[Fraction(x) for x in row] for row in rows]
+        assert rows_of(M) == expect and all_fractions(M)
+        assert M.to_strings() == [[str(x) for x in row] for row in expect]
+    for M in (L, R, P):
+        twins = (
+            RationalMatrix.from_rows(M.to_strings(), cols=M.cols),
+            M.scaled(3).scaled(Fraction(1, 3)),
+            M.scaled(0) + M,
+            M.transpose().transpose(),
+            -(-M),
+        )
+        for twin in twins:
+            assert twin == M and hash(twin) == hash(M) and rows_of(twin) == rows_of(M)
+        assert (M == M.transpose()) == (rows_of(M) == rows_of(M.transpose()))
+        if M.rows and M.cols:
+            bumped = [list(r) for r in M.entries]
+            bumped[-1][-1] += Fraction(1, 7)
+            assert RationalMatrix.from_rows(bumped, cols=M.cols) != M
+    assert L @ R == P and hash(L @ R) == hash(P)
+    assert M.scaled(0) == RationalMatrix.zeros(*M.shape)
+    V = image(P)
+    assert V == Subspace.from_vectors(m, [P.col(j) for j in range(P.cols)])
+    assert hash(V) == hash(Subspace.from_vectors(m, [P.col(j) for j in range(P.cols)]))
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0), (2, 2)])
+def test_zero_matrices_are_equal_however_built(rows, cols):
+    zero = RationalMatrix.zeros(rows, cols)
+    built = RationalMatrix.from_rows([[0] * cols for _ in range(rows)], cols=cols)
+    for twin in (built, zero.scaled("5/3"), zero + zero, zero.transpose().transpose()):
+        assert twin == zero and hash(twin) == hash(zero)
+    assert zero.is_zero() and zero.to_strings() == [["0"] * cols for _ in range(rows)]
+    if rows != cols:
+        assert zero != zero.transpose()
+
+
+# ---------------------------------------------------------------------------
+# float conversion: the bits of float(Fraction), entry by entry
+
+MAX_HALFWAY = 2**1024 - 2**970  # rounds to even, which is 2^1024: overflow
+FLOAT_EDGES = [
+    Fraction(MAX_HALFWAY - 1),  # the largest float
+    -Fraction(MAX_HALFWAY - 1),
+    Fraction(MAX_HALFWAY - 1, 3) * 3,
+    Fraction(2**1100 - 1, 2**76 * 3),  # near 2^1024 / 3 with a large denominator
+    Fraction(1, 2**1074),  # the smallest subnormal
+    Fraction(1, 2**1075),  # halfway to zero: rounds to 0
+    Fraction(3, 2**1076),  # rounds up to a subnormal
+    Fraction(-7, 3 * 2**1070),
+    Fraction(2**80 - 1, 2**80),
+    Fraction(1, 3 * 2**80),
+    Fraction(-(2**90) + 1, 2**80 - 1),
+    Fraction(0),
+    Fraction(1, 3),
+]
+
+
+def float_bits(values):
+    return [x.hex() for x in values]
+
+
+def test_to_float_rounds_each_entry_like_float_of_fraction():
+    # one matrix holds every edge, so a shared denominator spans 2^-1076 to 2^1024
+    M = RationalMatrix.from_rows([FLOAT_EDGES[:7], FLOAT_EDGES[6:]])
+    got = M.to_float()
+    assert got.dtype == float and got.shape == M.shape
+    for i, row in enumerate(M.entries):
+        assert float_bits(got[i]) == float_bits(float(x) for x in row)
+    assert float_bits(M.transpose().to_float().ravel()) == float_bits(got.T.ravel())
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=factor_pair())
+@with_edge_examples
+def test_to_float_matches_float_of_fraction(problem):
+    for M in factor_matrices(problem):
+        got = M.to_float()
+        assert got.shape == M.shape
+        assert [float_bits(r) for r in got] == [float_bits(map(float, r)) for r in M.entries]
+
+
+@pytest.mark.parametrize("entry", [Fraction(MAX_HALFWAY), Fraction(2**1030, 3),
+                                   -Fraction(2**1100 + 1, 2**76)])
+def test_to_float_beyond_the_float_range_raises(entry):
+    M = RationalMatrix.from_rows([[1, entry], ["1/3", 0]])
+    with pytest.raises(OverflowError, match="a matrix entry lies beyond the float range"):
+        M.to_float()
