@@ -16,6 +16,7 @@ worst code wins.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -52,7 +53,13 @@ EXIT_FAILED = 5
 EXIT_DIMENSION = 6
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing leaves it unchanged, and building it costs a sizeable share of a
+    small `analyze` call, which `main` would otherwise pay on every call.
+    """
     parser = argparse.ArgumentParser(
         prog="inred",
         description="Input-redundancy analysis and certification for constrained LTI systems",

@@ -2,11 +2,13 @@
 
 Every geometric decision made by this package (rank, dimension, membership,
 invariance) happens here over exact rational arithmetic, so results cannot
-flip on floating-point round-off.  Entries are `fractions.Fraction`; matrices
-are immutable and row-major.  Elimination and products clear denominators
-and run over Python integers, with one division per output entry.  Subspaces
-carry a canonical reduced-column-echelon basis, which makes value equality
-coincide with subspace equality.
+flip on floating-point round-off.  A matrix is immutable and row-major, and
+holds one integer matrix over one positive common denominator.  Elimination,
+products and stacking read and write those integers; a `Fraction` is built
+only where entries leave the module (`entries`, `row`, `col`,
+`to_strings`) and a float only in `to_float`.  Subspaces carry a canonical
+reduced-column-echelon basis, which makes value equality coincide with
+subspace equality.
 
 `geometry` and `analysis` build on this module and the standard library
 alone.  Floating point is confined to the trajectory layer (`trajectory` and
@@ -16,9 +18,11 @@ module imports numpy.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
@@ -28,10 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 ScalarLike = Union[Fraction, int, Decimal, str]
 VectorLike = Sequence[ScalarLike]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class DimensionMismatch(ValueError):
     """Shapes or ambient dimensions are incompatible."""
@@ -63,24 +63,21 @@ def as_fraction(value: ScalarLike) -> Fraction:
     )
 
 
-def _integer_vector(vec: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers `ints` and the least d > 0 with vec == [k / d for k in ints]."""
-    d = lcm(*[x.denominator for x in vec])
-    if d == 1:
-        return [x.numerator for x in vec], 1
-    return [x.numerator * (d // x.denominator) for x in vec], d
+def _rref(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], int, list[int]]:
+    """Reduced row echelon form of an integer matrix, computed over the integers.
 
-
-def _rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot columns).
-
-    Gauss-Jordan over integers: each row is scaled to integers, every row
-    operation is followed by division by the gcd of the new row's entries,
-    and each pivot row is divided by its pivot once at the end.  Each integer
-    row stays a nonzero multiple of the row that `Fraction` elimination with
-    the same pivots would hold, so pivots and result are the same.
+    Returns (num, den, pivots) with the RREF equal to num / den: every pivot
+    entry of num equals den > 0, and zero rows come last.  Gauss-Jordan with
+    primitive rows: each row is divided by the gcd of its entries on entry
+    and after every row operation, so it stays a nonzero integer multiple of
+    the row that `Fraction` elimination with the same pivots would hold.  At
+    the end each pivot row is scaled so that its pivot is the least common
+    multiple of the pivots; this den shares no factor with all of num.
     """
-    work = [_integer_vector(row)[0] for row in rows]
+    work = []
+    for row in rows:
+        g = gcd(*row)
+        work.append([x // g for x in row] if g > 1 else row)
     nrows = len(work)
     pivots: list[int] = []
     r = 0
@@ -103,43 +100,115 @@ def _rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[list[Fra
                 work[i] = [x // h for x in new] if h > 1 else new
         pivots.append(c)
         r += 1
-    out = [[Fraction(x, work[i][c]) if x else _ZERO for x in work[i]]
-           for i, c in enumerate(pivots)]
-    out.extend([_ZERO] * ncols for _ in range(nrows - r))
-    return out, pivots
+    den = lcm(*[work[i][c] for i, c in enumerate(pivots)])
+    for i, c in enumerate(pivots):
+        k = den // work[i][c]  # negative for a negative pivot
+        if k != 1:
+            work[i] = [k * x for x in work[i]]
+    return work, den, pivots
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+def _fill(mat: "RationalMatrix", rows: int, cols: int, num: tuple[tuple[int, ...], ...],
+          den: int) -> None:
+    """Set the slots of a new matrix, past its immutability guard."""
+    _set(mat, "rows", rows)
+    _set(mat, "cols", cols)
+    _set(mat, "_num", num)
+    _set(mat, "_den", den)
+
+
+def _make(rows: int, cols: int, num: tuple[tuple[int, ...], ...], den: int) -> "RationalMatrix":
+    """A matrix from a representation that is already normalized."""
+    mat = object.__new__(RationalMatrix)
+    _fill(mat, rows, cols, num, den)
+    return mat
+
+
+def _normalized(rows: int, cols: int, num: tuple[tuple[int, ...], ...],
+                den: int) -> "RationalMatrix":
+    """The matrix num / den, with the common factor of den and num divided out."""
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(num))
+        if g > 1:
+            num = tuple(tuple(x // g for x in row) for row in num)
+            den //= g
+    return _make(rows, cols, num, den)
+
+
+def _over_common_denominator(
+        mats: Sequence["RationalMatrix"]) -> tuple[int, list[tuple[tuple[int, ...], ...]]]:
+    """The least common denominator of `mats` and their numerators over it.
+
+    Blocks stacked over that denominator need no normalization: a prime
+    power dividing it exactly divides the denominator of some block, and
+    that block has an entry the prime does not divide.
+    """
+    den = lcm(*[m._den for m in mats])
+    return den, [m._num if m._den == den else
+                 tuple(tuple((den // m._den) * x for x in row) for row in m._num)
+                 for m in mats]
+
+
 class RationalMatrix:
-    """Immutable matrix with exact rational entries, stored row-major."""
+    """Immutable matrix with exact rational entries, stored row-major.
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    The entries are num / den for one integer matrix num and one integer
+    den > 0 that shares no factor with all of num.  This representation is
+    unique, so == and hash compare it directly.  `entries`, `row`, `col`,
+    `to_strings` and `to_float` are the only places a `Fraction` or a float
+    is built.
+    """
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    __slots__ = ("rows", "cols", "_num", "_den")
+
+    def __init__(self, rows: int, cols: int, entries: Sequence[VectorLike]) -> None:
+        if rows < 0 or cols < 0:
             raise DimensionMismatch("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+        if len(entries) != rows or any(len(r) != cols for r in entries):
             raise DimensionMismatch("entry count does not match declared shape")
+        data = [[as_fraction(x) for x in row] for row in entries]
+        den = lcm(*[x.denominator for row in data for x in row])
+        num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data)
+        _fill(self, rows, cols, num, den)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("RationalMatrix is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("RationalMatrix is immutable")
+
+    def __reduce__(self):
+        return _make, (self.rows, self.cols, self._num, self._den)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
+        return (self.rows == other.rows and self.cols == other.cols
+                and self._den == other._den and self._num == other._num)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self._num, self._den))
+
+    def __repr__(self) -> str:
+        return f"RationalMatrix({self.rows}, {self.cols}, {self.to_strings()})"
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows: Sequence[VectorLike], cols: Optional[int] = None) -> "RationalMatrix":
-        data = tuple(tuple(as_fraction(x) for x in row) for row in rows)
-        ncols = cols if cols is not None else (len(data[0]) if data else 0)
-        return cls(len(data), ncols, data)
+    def from_rows(cls, rows: Iterable[VectorLike], cols: Optional[int] = None) -> "RationalMatrix":
+        data = list(rows)
+        return cls(len(data), cols if cols is not None else (len(data[0]) if data else 0), data)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, tuple(
-            tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
-        ))
+        return _make(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, tuple(tuple(_ZERO for _ in range(cols)) for _ in range(rows)))
+        return _make(rows, cols, ((0,) * cols,) * rows, 1)
 
     @classmethod
     def column(cls, vec: VectorLike) -> "RationalMatrix":
@@ -151,57 +220,58 @@ class RationalMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(self.row(i) for i in range(self.rows))
+
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._num[i])
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.entries)
+        den = self._den
+        return tuple(Fraction(row[j], den) for row in self._num)
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "RationalMatrix":
-        data = tuple(row[c0:c1] for row in self.entries[r0:r1])
-        return RationalMatrix(r1 - r0, c1 - c0, data)
+        num = tuple(row[c0:c1] for row in self._num[r0:r1])
+        return _normalized(len(num), len(range(self.cols)[c0:c1]), num, self._den)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self._num))
 
     # -- algebra -----------------------------------------------------------
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        if other.rows == 0:
-            right = [([], 1)] * other.cols
-        else:
-            right = [_integer_vector(col) for col in zip(*other.entries)]
-        data = []
-        for row in self.entries:
-            a, da = _integer_vector(row)
-            data.append(tuple(Fraction(sum(map(mul, a, b)), da * db) for b, db in right))
-        return RationalMatrix(self.rows, other.cols, tuple(data))
+        right = list(zip(*other._num)) if other.rows else [()] * other.cols
+        num = tuple(tuple(sum(map(mul, row, col)) for col in right) for row in self._num)
+        return _normalized(self.rows, other.cols, num, self._den * other._den)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
-        data = tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)
-        )
-        return RationalMatrix(self.rows, self.cols, data)
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        num = tuple(tuple(a * x + b * y for x, y in zip(r1, r2))
+                    for r1, r2 in zip(self._num, other._num))
+        return _normalized(self.rows, self.cols, num, den)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
-        return self.scaled(-1)
+        return _make(self.rows, self.cols,
+                     tuple(tuple(-x for x in row) for row in self._num), self._den)
 
     def scaled(self, c: ScalarLike) -> "RationalMatrix":
         f = as_fraction(c)
-        data = tuple(tuple(f * x for x in row) for row in self.entries)
-        return RationalMatrix(self.rows, self.cols, data)
+        num = tuple(tuple(f.numerator * x for x in row) for row in self._num)
+        return _normalized(self.rows, self.cols, num, self._den * f.denominator)
 
     def transpose(self) -> "RationalMatrix":
-        data = tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
-        return RationalMatrix(self.cols, self.rows, data)
+        num = tuple(zip(*self._num)) if self.rows else ((),) * self.cols
+        return _make(self.cols, self.rows, num, self._den)
 
     @staticmethod
     def hstack(*mats: "RationalMatrix") -> "RationalMatrix":
@@ -210,10 +280,9 @@ class RationalMatrix:
         rows = mats[0].rows
         if any(m.rows != rows for m in mats):
             raise DimensionMismatch("hstack needs equal row counts")
-        data = tuple(
-            tuple(x for m in mats for x in m.entries[i]) for i in range(rows)
-        )
-        return RationalMatrix(rows, sum(m.cols for m in mats), data)
+        den, nums = _over_common_denominator(mats)
+        num = tuple(tuple(chain.from_iterable(parts)) for parts in zip(*nums)) if rows else ()
+        return _make(rows, sum(m.cols for m in mats), num, den)
 
     @staticmethod
     def vstack(*mats: "RationalMatrix") -> "RationalMatrix":
@@ -222,15 +291,14 @@ class RationalMatrix:
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
             raise DimensionMismatch("vstack needs equal column counts")
-        data = tuple(row for m in mats for row in m.entries)
-        return RationalMatrix(sum(m.rows for m in mats), cols, data)
+        den, nums = _over_common_denominator(mats)
+        return _make(sum(m.rows for m in mats), cols, tuple(chain.from_iterable(nums)), den)
 
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
-        rows, pivots = _rref(self.entries, self.cols)
-        data = tuple(tuple(r) for r in rows)
-        return RationalMatrix(self.rows, self.cols, data), tuple(pivots)
+        num, den, pivots = _rref([list(row) for row in self._num], self.cols)
+        return _make(self.rows, self.cols, tuple(map(tuple, num)), den), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -242,14 +310,13 @@ class RationalMatrix:
         """
         if rhs.rows != self.rows:
             raise DimensionMismatch(f"solve: {self.shape} against rhs {rhs.shape}")
-        aug = RationalMatrix.hstack(self, rhs)
-        red, pivots = aug.rref()
-        if any(p >= self.cols for p in pivots):
+        red, pivots = RationalMatrix.hstack(self, rhs).rref()
+        if pivots and pivots[-1] >= self.cols:
             return None
-        data = [(_ZERO,) * rhs.cols] * self.cols
+        num = [(0,) * rhs.cols] * self.cols
         for r, c in enumerate(pivots):
-            data[c] = red.entries[r][self.cols:]
-        return RationalMatrix(self.cols, rhs.cols, tuple(data))
+            num[c] = red._num[r][self.cols:]
+        return _normalized(self.cols, rhs.cols, tuple(num), red._den)
 
     def inverse(self) -> "RationalMatrix":
         if self.rows != self.cols:
@@ -262,16 +329,16 @@ class RationalMatrix:
     # -- conversion --------------------------------------------------------
 
     def to_float(self) -> np.ndarray:
+        """Each entry rounded as float(Fraction) rounds it: correctly, by one
+        integer true division."""
         import numpy as np
 
-        out = np.empty((self.rows, self.cols), dtype=float)
+        den = self._den
         try:
-            for i, row in enumerate(self.entries):
-                for j, x in enumerate(row):
-                    out[i, j] = float(x)
+            values = [[x / den for x in row] for row in self._num]
         except OverflowError as exc:
             raise OverflowError("a matrix entry lies beyond the float range") from exc
-        return out
+        return np.array(values, dtype=float).reshape(self.rows, self.cols)
 
     def to_strings(self) -> list[list[str]]:
         """Row-major nested lists of "p/q" strings (q omitted when 1)."""
@@ -372,13 +439,16 @@ def _kernel_columns(mat: RationalMatrix) -> RationalMatrix:
     """Raw (non-canonical) kernel basis of `mat`, one column per free variable."""
     red, pivots = mat.rref()
     pivot_set = set(pivots)
-    free = [j for j in range(mat.cols) if j not in pivot_set]
-    data = [[_ZERO] * len(free) for _ in range(mat.cols)]
-    for k, j in enumerate(free):
-        data[j][k] = _ONE
-        for r, c in enumerate(pivots):
-            data[c][k] = -red.entries[r][j]
-    return RationalMatrix(mat.cols, len(free), tuple(map(tuple, data)))
+    columns = []
+    for j in range(mat.cols):
+        if j not in pivot_set:
+            col = [0] * mat.cols
+            col[j] = red._den
+            for r, c in enumerate(pivots):
+                col[c] = -red._num[r][j]
+            columns.append(col)
+    num = tuple(zip(*columns)) if columns else ((),) * mat.cols
+    return _normalized(mat.cols, len(columns), num, red._den)
 
 
 def kernel(mat: RationalMatrix) -> Subspace:
@@ -389,22 +459,33 @@ def kernel(mat: RationalMatrix) -> Subspace:
 def image(mat: RationalMatrix) -> Subspace:
     """Canonical basis of the column span of `mat`."""
     red, pivots = mat.transpose().rref()
-    data = red.entries[:len(pivots)]
-    basis = RationalMatrix(len(pivots), mat.rows, data).transpose()
-    return Subspace(mat.rows, basis)
+    rank = len(pivots)
+    return Subspace(mat.rows, _make(rank, mat.rows, red._num[:rank], red._den).transpose())
 
 
 def preimage(mat: RationalMatrix, target: Subspace) -> Subspace:
     """Canonical basis of {u : mat @ u in target}.  Contains kernel(mat)."""
     if target.ambient_dim != mat.rows:
         raise DimensionMismatch("preimage target must live in the codomain")
-    if target.is_zero():
-        return kernel(mat)
-    # mat @ u = T @ w and mat @ u = -T @ w have the same solutions u
-    stacked = RationalMatrix.hstack(mat, target.basis)
-    null = _kernel_columns(stacked)
-    head = null.block(0, mat.cols, 0, null.cols)
-    return image(head)
+    return kernel(preimage_equations(mat, target.basis))
+
+
+def preimage_equations(mat: RationalMatrix, span: RationalMatrix) -> RationalMatrix:
+    """Equations Z, in reduced row echelon form, with ker Z = {x : mat @ x in im span}.
+
+    One elimination of [span | mat]: a row of its RREF that vanishes on the
+    `span` block is a combination of equations that cancels every column of
+    `span`, and the other rows can always be matched by a choice of the
+    `span` coefficients.  The rows of Z are independent, so the set has
+    dimension mat.cols - Z.rows, and since an RREF is unique, two results
+    are equal exactly when their sets are.
+    """
+    if mat.rows != span.rows:
+        raise DimensionMismatch("preimage_equations needs equal row counts")
+    red, pivots = RationalMatrix.hstack(span, mat).rref()
+    first = bisect_left(pivots, span.cols)
+    num = tuple(row[span.cols:] for row in red._num[first:len(pivots)])
+    return _normalized(len(num), mat.cols, num, red._den)
 
 
 def restriction_matrix(mat: RationalMatrix, space: Subspace) -> RationalMatrix:
@@ -433,5 +514,5 @@ def complete_basis(current: RationalMatrix, candidates: Iterable[RationalMatrix]
     """
     stacked = RationalMatrix.hstack(current, *candidates)  # checks the column lengths
     keep = [c for c in stacked.rref()[1] if c >= current.cols]
-    data = tuple(tuple(row[c] for c in keep) for row in stacked.entries)
-    return RationalMatrix(current.rows, len(keep), data)
+    num = tuple(tuple(row[c] for c in keep) for row in stacked._num)
+    return _normalized(current.rows, len(keep), num, stacked._den)

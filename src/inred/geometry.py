@@ -14,7 +14,7 @@ Gramian transfer, lifting reduced trajectories) live in `trajectory`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 from .exact import (
     DimensionMismatch,
@@ -24,8 +24,12 @@ from .exact import (
     image,
     kernel,
     preimage,
+    preimage_equations,
     restriction_matrix,
 )
+
+
+_T = TypeVar("_T")
 
 
 class NotControlledInvariant(ValueError):
@@ -98,11 +102,14 @@ class SystemQuadruple:
 # invariant subspaces
 
 
-def _fixpoint(step: Callable[[Subspace], Subspace], start: Subspace, bound: int) -> Subspace:
+def _fixpoint(step: Callable[[_T], _T], start: _T, bound: int) -> _T:
     """Iterate `step` from `start` until it returns its argument.
 
-    The chains iterated here are monotone, so they settle within `bound`
-    (dimension + 1) steps; failing to settle is a bug, never a result.
+    The chains iterated here are monotone, and each step returns a unique
+    form (a canonical subspace or the RREF of its equations), so a step
+    returns its argument exactly when the dimension repeats.  They settle
+    within `bound` (dimension + 1) steps; failing to settle is a bug, never
+    a result.
     """
     current = start
     for _ in range(bound):
@@ -116,29 +123,36 @@ def _fixpoint(step: Callable[[Subspace], Subspace], start: Subspace, bound: int)
 def max_controlled_invariant(A: RationalMatrix, B: RationalMatrix, K: Subspace) -> Subspace:
     """Largest (A, B)-controlled invariant subspace contained in K.
 
-    Standard fixpoint: V0 = K, V_{i+1} = K n A^{-1}(V_i + im B); stationary
-    after at most dim K steps.
+    Standard fixpoint V0 = K, V_{i+1} = K n A^{-1}(V_i + im B), stationary
+    after at most dim K steps.  It runs on the equations Z_i of V_i: with
+    Z_K those of K, V_{i+1} = {x : [Z_i A; Z_K] x in im [Z_i B; 0]}, one
+    elimination per step.
     """
     if K.ambient_dim != A.rows:
         raise DimensionMismatch("constraint subspace must live in the state space")
-    im_b = image(B)
-    return _fixpoint(lambda V: K & preimage(A, V + im_b), K, A.rows + 1)
+    on_k = preimage_equations(RationalMatrix.identity(A.rows), K.basis)
+    zero = RationalMatrix.zeros(on_k.rows, B.cols)
+
+    def step(Z: RationalMatrix) -> RationalMatrix:
+        return preimage_equations(RationalMatrix.vstack(Z @ A, on_k),
+                                  RationalMatrix.vstack(Z @ B, zero))
+
+    return kernel(_fixpoint(step, on_k, A.rows + 1))
 
 
 def weakly_unobservable(sys: SystemQuadruple) -> Subspace:
     """States from which some input keeps the output identically zero.
 
     Fixpoint on V_{i+1} = {x : [A; C] x in (V_i x {0}) + im [B; D]},
-    starting from the whole state space.
+    starting from the whole state space.  It runs on the equations Z_i of
+    V_i: V_{i+1} = {x : [Z_i A; C] x in im [Z_i B; D]}, one elimination per
+    step.
     """
-    stacked = RationalMatrix.vstack(sys.A, sys.C)
-    im_bd = image(RationalMatrix.vstack(sys.B, sys.D))
+    def step(Z: RationalMatrix) -> RationalMatrix:
+        return preimage_equations(RationalMatrix.vstack(Z @ sys.A, sys.C),
+                                  RationalMatrix.vstack(Z @ sys.B, sys.D))
 
-    def step(V: Subspace) -> Subspace:
-        lifted = image(RationalMatrix.vstack(V.basis, RationalMatrix.zeros(sys.p, V.dim)))
-        return preimage(stacked, lifted + im_bd)
-
-    return _fixpoint(step, Subspace.full(sys.n), sys.n + 1)
+    return kernel(_fixpoint(step, RationalMatrix.zeros(0, sys.n), sys.n + 1))
 
 
 def _friend_matrix(A: RationalMatrix, B: RationalMatrix, W: Subspace,
@@ -159,9 +173,10 @@ def _friend_matrix(A: RationalMatrix, B: RationalMatrix, W: Subspace,
     if sol is None:
         return None
     f_on_w = sol.block(0, m, 0, k)
-    Tc = complete_basis(T, [RationalMatrix.identity(n)])
-    S = RationalMatrix.hstack(T, Tc)
-    return RationalMatrix.hstack(f_on_w, RationalMatrix.zeros(m, n - k)) @ S.inverse()
+    # F S = [f_on_w, 0] for the invertible S = [T, Tc], so F is unique
+    S = RationalMatrix.hstack(T, complete_basis(T, [RationalMatrix.identity(n)]))
+    target = RationalMatrix.hstack(f_on_w, RationalMatrix.zeros(m, n - k))
+    return S.transpose().solve_columns(target.transpose()).transpose()
 
 
 def friend(sys: SystemQuadruple, W: Subspace, output_nulling: bool = False) -> RationalMatrix:
@@ -204,7 +219,8 @@ def output_nulling(sys: SystemQuadruple) -> OutputNulling:
     F = friend(sys, V, output_nulling=True)
     N = preimage(sys.B, V) & kernel(sys.D)
     closed = sys.A + sys.B @ F
-    R = _fixpoint(lambda W: W + image(closed @ W.basis), image(sys.B @ N.basis), sys.n + 1)
+    R = _fixpoint(lambda W: image(RationalMatrix.hstack(W.basis, closed @ W.basis)),
+                  image(sys.B @ N.basis), sys.n + 1)
     return OutputNulling(V=V, F=F, N=N, R=R)
 
 

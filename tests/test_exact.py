@@ -617,7 +617,7 @@ def dims(basis):
     return len(basis[0]) if basis else 0
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(problem=factor_pair())
 @with_edge_examples
 def test_solve_and_inverse_match_fraction_reference(problem):
@@ -641,7 +641,7 @@ def test_solve_and_inverse_match_fraction_reference(problem):
             assert rows_of(M.inverse()) == expect
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(problem=factor_pair())
 @with_edge_examples
 def test_subspace_operations_match_fraction_reference(problem):
@@ -665,7 +665,7 @@ def test_subspace_operations_match_fraction_reference(problem):
             assert space.contains(other.col(j)) == inside
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(problem=factor_pair())
 @with_edge_examples
 def test_completion_and_restriction_match_fraction_reference(problem):
@@ -698,7 +698,7 @@ def test_completion_and_restriction_match_fraction_reference(problem):
             assert rows_of(restriction_matrix(L, space)) == expect
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(problem=factor_pair())
 @with_edge_examples
 def test_strings_equality_and_hash_match_fraction_reference(problem):
@@ -776,7 +776,7 @@ def test_to_float_rounds_each_entry_like_float_of_fraction():
     assert float_bits(M.transpose().to_float().ravel()) == float_bits(got.T.ravel())
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(problem=factor_pair())
 @with_edge_examples
 def test_to_float_matches_float_of_fraction(problem):
