@@ -111,19 +111,10 @@ def _rref(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], int, list
 _set = object.__setattr__
 
 
-def _fill(mat: "RationalMatrix", rows: int, cols: int, num: tuple[tuple[int, ...], ...],
-          den: int) -> None:
-    """Set the slots of a new matrix, past its immutability guard."""
-    _set(mat, "rows", rows)
-    _set(mat, "cols", cols)
-    _set(mat, "_num", num)
-    _set(mat, "_den", den)
-
-
 def _make(rows: int, cols: int, num: tuple[tuple[int, ...], ...], den: int) -> "RationalMatrix":
     """A matrix from a representation that is already normalized."""
     mat = object.__new__(RationalMatrix)
-    _fill(mat, rows, cols, num, den)
+    mat._fill(rows, cols, num, den)
     return mat
 
 
@@ -152,17 +143,21 @@ def _over_common_denominator(
                  for m in mats]
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class RationalMatrix:
     """Immutable matrix with exact rational entries, stored row-major.
 
-    The entries are num / den for one integer matrix num and one integer
-    den > 0 that shares no factor with all of num.  This representation is
-    unique, so == and hash compare it directly.  `entries`, `row`, `col`,
-    `to_strings` and `to_float` are the only places a `Fraction` or a float
-    is built.
+    The entries are _num / _den for one integer matrix _num (a tuple of
+    rows) and one integer _den > 0 that shares no factor with all of _num.
+    This representation is unique, so == and hash compare it directly.
+    `entries`, `row`, `col`, `to_strings` and `to_float` are the only places
+    a `Fraction` or a float is built.
     """
 
-    __slots__ = ("rows", "cols", "_num", "_den")
+    rows: int
+    cols: int
+    _num: tuple[tuple[int, ...], ...]
+    _den: int
 
     def __init__(self, rows: int, cols: int, entries: Sequence[VectorLike]) -> None:
         if rows < 0 or cols < 0:
@@ -171,26 +166,16 @@ class RationalMatrix:
             raise DimensionMismatch("entry count does not match declared shape")
         data = [[as_fraction(x) for x in row] for row in entries]
         den = lcm(*[x.denominator for row in data for x in row])
-        num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data)
-        _fill(self, rows, cols, num, den)
+        self._fill(rows, cols,
+                   tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data),
+                   den)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RationalMatrix is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("RationalMatrix is immutable")
-
-    def __reduce__(self):
-        return _make, (self.rows, self.cols, self._num, self._den)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return (self.rows == other.rows and self.cols == other.cols
-                and self._den == other._den and self._num == other._num)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._num, self._den))
+    def _fill(self, rows: int, cols: int, num: tuple[tuple[int, ...], ...], den: int) -> None:
+        """Set the fields, past the frozen guard."""
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "_num", num)
+        _set(self, "_den", den)
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}, {self.cols}, {self.to_strings()})"

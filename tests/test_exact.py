@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -728,6 +730,15 @@ def test_strings_equality_and_hash_match_fraction_reference(problem):
     V = image(P)
     assert V == Subspace.from_vectors(m, [P.col(j) for j in range(P.cols)])
     assert hash(V) == hash(Subspace.from_vectors(m, [P.col(j) for j in range(P.cols)]))
+
+
+def test_matrices_are_immutable_and_survive_copies():
+    M = mat([["1/3", -2], [0, 2**70]])
+    for attr in ("rows", "entries"):
+        with pytest.raises(AttributeError):
+            setattr(M, attr, 1)
+    for twin in (pickle.loads(pickle.dumps(M)), copy.deepcopy(M), copy.copy(M)):
+        assert twin == M and hash(twin) == hash(M) and twin.entries == M.entries
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0), (2, 2)])
