@@ -197,6 +197,14 @@ def synthesize_state_loop(sys: SystemQuadruple, window: tuple[float, float],
     return u_hat, x_hat
 
 
+def _peak(increment: SampledSignal) -> float:
+    """Largest node norm of an increment; ZeroMargin when it is not finite."""
+    peak = float(np.max(np.linalg.norm(increment.values, axis=1)))
+    if not math.isfinite(peak):
+        raise ZeroMargin("increment peak is not finite")
+    return peak
+
+
 def compute_scaling(r_u_min: float, r_x_min: Optional[float],
                     u_hat: SampledSignal, x_hat: Optional[SampledSignal],
                     rho: int) -> float:
@@ -204,23 +212,28 @@ def compute_scaling(r_u_min: float, r_x_min: Optional[float],
 
     For rho = 0 the state excursion must fit its margin as well.  The result
     is SAFETY times the largest scale.  When every margin is infinite any
-    positive scale works and 1.0 is returned.
+    positive scale works and 1.0 is returned.  A non-finite increment, or a
+    scale that underflows to zero, raises ZeroMargin: a zero scale would
+    certify the zero increment.
     """
     if not r_u_min > 0:
         raise ZeroMargin("input margin must be strictly positive")
-    sup_u = float(np.max(np.linalg.norm(u_hat.values, axis=1)))
+    sup_u = _peak(u_hat)
     candidates = [r_u_min / sup_u if sup_u > 0 else math.inf]
     if rho == 0:
         if x_hat is None or r_x_min is None:
             raise ZeroMargin("state margin and excursion required when rho = 0")
         if not r_x_min > 0:
             raise ZeroMargin("state margin must be strictly positive")
-        sup_x = float(np.max(np.linalg.norm(x_hat.values, axis=1)))
+        sup_x = _peak(x_hat)
         candidates.append(r_x_min / sup_x if sup_x > 0 else math.inf)
     alpha = min(candidates)
     if math.isinf(alpha):
         return 1.0
-    return SAFETY * alpha
+    alpha *= SAFETY
+    if not alpha > 0:
+        raise ZeroMargin("scale underflows to zero")
+    return alpha
 
 
 def verify_increment(sys: SystemQuadruple, u_set: ConstraintSet, x_set: ConstraintSet,

@@ -19,9 +19,13 @@ import numpy as np
 import pytest
 
 import inred.cli
+import inred.trajectory
 from inred.cli import main
 from inred.exact import Subspace
 from inred.scenario import MAX_GRID_NODES, dump_scenario, load_scenario
+from inred.trajectory import SIGNAL_TOL
+
+from test_trajectory import simulate_arrays_stepwise
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -334,9 +338,9 @@ def test_inconclusive_boundary_check_reuses_the_nominal(tmp_path, capsys, monkey
 # simulate
 
 
-def test_simulate_escape_example(tmp_path):
-    grid_n = 2001
-    obj = {
+def escape_scenario(grid_n=2001):
+    """xdot = x from x0 = 0.5 at rest, U = X = [0, 1]: leaves X at ln 2."""
+    return {
         "system": {"A": [[1]], "B": [[1]], "C": [[1]], "D": [[0]]},
         "constraints": {
             "u": {"type": "box", "lower": [0], "upper": [1]},
@@ -348,7 +352,10 @@ def test_simulate_escape_example(tmp_path):
             "input": "rest",
         },
     }
-    path = write(tmp_path, "escape.json", obj)
+
+
+def test_simulate_escape_example(tmp_path):
+    path = write(tmp_path, "escape.json", escape_scenario())
     out = tmp_path / "traj.csv"
     assert main(["simulate", path, "--out", str(out)]) == 0
     summary = json.loads((tmp_path / "traj.csv.summary.json").read_text())
@@ -613,6 +620,71 @@ def test_boolean_span_entry_is_a_parse_error(tmp_path, capsys):
     assert main(["analyze", path]) == 3
     err = capsys.readouterr().err
     assert "constraints.x" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the blocked simulator against the per-step loop, end to end
+
+
+def kernel_bump_certify_scenario():
+    """The four-input system with a nominal inside U = [0, 1]^4: rho = 1."""
+    return {
+        "system": FOUR_INPUT_SYSTEM,
+        "constraints": {
+            "u": {"type": "box", "lower": [0, 0, 0, 0], "upper": [1, 1, 1, 1]},
+            "x": {"type": "full"},
+        },
+        "scenario": {
+            "x0": [0.1, -0.2, 0.3],
+            "signals": {"u1": signal_obj(np.column_stack(
+                [0.5 + 0.3 * np.sin(k * np.arange(2001) * 1e-3) for k in (1, 2, 3, 4)]))},
+            "nominal": "u1",
+        },
+    }
+
+
+def run_with_both_simulators(monkeypatch, capsys, argv):
+    """(exit code, stdout) of `main(argv)`, first with the blocked simulator,
+    then with the per-step loop it replaced monkeypatched in."""
+    runs = []
+    for stepwise in (False, True):
+        with monkeypatch.context() as patch:
+            if stepwise:
+                patch.setattr(inred.trajectory, "_simulate_arrays", simulate_arrays_stepwise)
+            code = main(argv)
+        runs.append((code, capsys.readouterr().out))
+    return runs
+
+
+def certify_verdict(payload):
+    """What must not move with the simulator; sup|y~| only has to verify."""
+    if "verification" not in payload:  # inconclusive or failed: the whole payload
+        return payload
+    assert payload["verification"]["y_sup_diff"] <= SIGNAL_TOL
+    return {"window": payload["window"], "route": payload["route"],
+            "alpha": payload["alpha"], "u_hat": payload["u_hat"],
+            "admissible_both": payload["verification"]["admissible_both"]}
+
+
+@pytest.mark.parametrize("command, scenario, flags, code", [
+    ("certify", kernel_bump_certify_scenario, [], 0),
+    ("certify", lambda: buck_certify_scenario(ramp_values().tolist(), [0.2, 0.1, 0.3]), [], 0),
+    ("certify", lambda: buck_certify_scenario(np.zeros((2001, 2)).tolist(), [0.0, 0.0, 0.0]),
+     ["--check-boundary"], 4),
+    ("simulate", lambda: buck_certify_scenario(ramp_values().tolist(), [0.2, 0.1, 0.3]), [], 0),
+    ("simulate", escape_scenario, [], 0),
+], ids=["kernel-bump", "state-loop", "inconclusive", "admissible", "escape"])
+def test_verdicts_match_the_per_step_simulator(tmp_path, capsys, monkeypatch,
+                                               command, scenario, flags, code):
+    path = write(tmp_path, "case.json", scenario())
+    (code_blocked, out_blocked), (code_stepwise, out_stepwise) = run_with_both_simulators(
+        monkeypatch, capsys, [command, path, *flags])
+    assert code_blocked == code_stepwise == code
+    if command == "certify":
+        verdicts = [certify_verdict(json.loads(out)) for out in (out_blocked, out_stepwise)]
+    else:  # the summary follows the CSV, which has no braces
+        verdicts = [json.loads(out[out.index("{"):]) for out in (out_blocked, out_stepwise)]
+    assert verdicts[0] == verdicts[1]
 
 
 # ---------------------------------------------------------------------------

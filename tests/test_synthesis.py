@@ -176,6 +176,25 @@ def test_scaling_zero_margin_rejected():
         compute_scaling(0.5, 0.0, u_hat, u_hat, rho=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scaling_of_a_non_finite_increment_is_rejected(bad):
+    # NaN used to give 1.0 and inf 0.0, which certifies the zero increment
+    u_hat = SampledSignal(0, 0.1, np.array([[1.0], [bad], [0.0]]))
+    with pytest.raises(ZeroMargin):
+        compute_scaling(0.5, None, u_hat, None, rho=1)
+    with pytest.raises(ZeroMargin):
+        compute_scaling(0.5, 0.5, SampledSignal(0, 0.1, np.ones((3, 1))), u_hat, rho=0)
+
+
+def test_scaling_that_underflows_is_rejected():
+    u_hat = SampledSignal(0, 0.1, np.full((11, 1), 1e10))
+    with pytest.raises(ZeroMargin):
+        compute_scaling(1e-320, None, u_hat, None, rho=1)
+    x_hat = SampledSignal(0, 0.1, np.full((11, 1), 1e150))
+    with pytest.raises(ZeroMargin):
+        compute_scaling(0.5, 1e-200, SampledSignal(0, 0.1, np.ones((11, 1))), x_hat, rho=0)
+
+
 # ---------------------------------------------------------------------------
 # increment verification
 

@@ -25,6 +25,8 @@ from inred.trajectory import (
     SampledSignal,
     Status,
     TrajectoryTriple,
+    _simulate_arrays,
+    _step_matrices,
     boundary_residence,
     check_admissible,
     compare_triples,
@@ -164,6 +166,79 @@ def test_halving_dt_leaves_grid_aligned_linear_input_unchanged(buck):
     tf = simulate(sys, x0, u_fine)
     rel = np.max(np.abs(tf.x.values[::2] - tc.x.values)) / (1 + np.max(np.abs(tc.x.values)))
     assert rel <= 1e-10
+
+
+# The per-step loop that the blocked recurrence replaced, kept verbatim as
+# the reference.
+def simulate_arrays_stepwise(A, B, C, D, x0, u):
+    n = A.shape[0]
+    N = u.n_samples
+    x = np.empty((N, n))
+    x[0] = x0
+    uv = u.values
+    if u.interpolation is Interpolation.ZERO_ORDER_HOLD:
+        Phi, G0 = _step_matrices(A, B, u.dt, u.interpolation)
+        for k in range(N - 1):
+            x[k + 1] = Phi @ x[k] + G0 @ uv[k]
+    else:
+        Phi, G0, G1 = _step_matrices(A, B, u.dt, u.interpolation)
+        slopes = (uv[1:] - uv[:-1]) / u.dt
+        for k in range(N - 1):
+            x[k + 1] = Phi @ x[k] + G0 @ uv[k] + G1 @ slopes[k]
+    y = x @ C.T + uv @ D.T
+    return x, y
+
+
+@st.composite
+def simulation_cases(draw):
+    """(A, B, C, D, x0, u) with A = 0, nilpotent, or random plus c I.
+
+    The shift c reaches a fast unstable mode that overflows within a few
+    hundred steps at the larger dt; the scales reach 0, subnormal-adjacent
+    and near-overflow magnitudes.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m, p = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(("zero", "nilpotent", "shifted")))
+    if kind == "zero":
+        A = np.zeros((n, n))
+    elif kind == "nilpotent":
+        A = np.triu(rng.normal(scale=3.0, size=(n, n)), 1)
+    else:
+        A = rng.normal(size=(n, n)) + draw(st.sampled_from((0.0, -5.0, 5.0, 60.0))) * np.eye(n)
+    B, C, D = (rng.normal(size=s) for s in ((n, m), (p, n), (p, m)))
+    N = draw(st.one_of(st.sampled_from((2, 3, 8001)), st.integers(2, 400)))
+    dt = draw(st.sampled_from((2.5e-4, 1e-3, 1e-2, 0.1, 1.0)))
+    x0 = draw(st.sampled_from((0.0, 1e-300, 1.0, 1e200))) * rng.normal(size=n)
+    u_vals = draw(st.sampled_from((0.0, 1.0, 1e200))) * rng.normal(size=(N, m))
+    interpolation = draw(st.sampled_from(list(Interpolation)))
+    return A, B, C, D, x0, SampledSignal(0.0, dt, u_vals, interpolation)
+
+
+def first_non_finite(x):
+    finite = np.isfinite(x).all(axis=1)
+    return int(np.argmin(finite)) if not finite.all() else x.shape[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=simulation_cases())
+def test_blocked_simulation_matches_the_stepwise_loop(case):
+    with np.errstate(all="ignore"):
+        x_ref, _ = simulate_arrays_stepwise(*case)
+        x, _ = _simulate_arrays(*case)
+    k = first_non_finite(x_ref)
+    assert first_non_finite(x) == k
+    if k:
+        assert np.max(np.abs(x[:k] - x_ref[:k])) <= 1e-10 * (1 + np.max(np.abs(x_ref[:k])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=simulation_cases())
+def test_zero_input_from_the_origin_stays_exactly_zero(case):
+    A, B, C, D, x0, u = case
+    zero = SampledSignal(u.t0, u.dt, np.zeros_like(u.values), u.interpolation)
+    x, y = _simulate_arrays(A, B, C, D, np.zeros_like(x0), zero)
+    assert not x.any() and not y.any()
 
 
 # ---------------------------------------------------------------------------
