@@ -194,8 +194,8 @@ def simulation_cases(draw):
     """(A, B, C, D, x0, u) with A = 0, nilpotent, or random plus c I.
 
     The shift c reaches a fast unstable mode that overflows within a few
-    hundred steps at the larger dt; the scales reach 0, subnormal-adjacent
-    and near-overflow magnitudes.
+    hundred steps at the larger dt.  x0 and u are scaled by 0, 1e-300, 1
+    or 1e200, so that some states pass near the overflow threshold.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, m, p = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
