@@ -353,10 +353,15 @@ def _float_system(sys: "SystemQuadruple") -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _expm(M: np.ndarray) -> np.ndarray:
-    """`scipy.linalg.expm`, imported on the first call (see the module docstring)."""
+    """`scipy.linalg.expm`, imported on the first call (see the module docstring).
+
+    Floating point warnings are silenced: an exponential that overflows
+    yields non-finite states, which `margins` never admits.
+    """
     from scipy.linalg import expm
 
-    return expm(M)
+    with np.errstate(all="ignore"):
+        return expm(M)
 
 
 def _step_matrices(A: np.ndarray, B: np.ndarray, dt: float,
@@ -384,9 +389,9 @@ def _blocked_recurrence(Phi: np.ndarray, x0: np.ndarray, d: np.ndarray) -> np.nd
     about 2 sqrt(K) times instead of K: (a) the zero-start response z of
     every block at once, in b steps over an (nblocks, n) array, with Phi^j
     accumulated along the way; (b) the block-start states s, in nblocks
-    steps of Phi^b; (c) each node as Phi^j s + z, in one einsum.  Floating
-    point warnings are silenced: a power Phi^j may overflow where the
-    states do not, and the caller steps such nodes again.
+    steps of Phi^b; (c) each node as Phi^j s + z, in one einsum.  A power
+    Phi^j may overflow where the states do not; the caller silences the
+    warning and steps such nodes again.
     """
     K, n = d.shape
     b = math.isqrt(K)
@@ -401,38 +406,42 @@ def _blocked_recurrence(Phi: np.ndarray, x0: np.ndarray, d: np.ndarray) -> np.nd
     s[0] = x0
     x = np.empty((nblocks * b + 1, n))
     blocks = x[:-1].reshape(nblocks, b, n)
-    with np.errstate(all="ignore"):
-        for j in range(b):
-            powers[j + 1] = Phi @ powers[j]
-            z[:, j + 1] = z[:, j] @ Phi.T + dq[:, j]
-        for q in range(nblocks):
-            s[q + 1] = powers[b] @ s[q] + z[q, b]
-        blocks[:, 0] = s[:-1]
-        blocks[:, 1:] = np.einsum("jab,qb->qja", powers[1:b], s[:-1]) + z[:, 1:b]
+    for j in range(b):
+        powers[j + 1] = Phi @ powers[j]
+        z[:, j + 1] = z[:, j] @ Phi.T + dq[:, j]
+    for q in range(nblocks):
+        s[q + 1] = powers[b] @ s[q] + z[q, b]
+    blocks[:, 0] = s[:-1]
+    blocks[:, 1:] = np.einsum("jab,qb->qja", powers[1:b], s[:-1]) + z[:, 1:b]
     x[-1] = s[-1]
     return x[:K + 1]
 
 
 def _simulate_arrays(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
                      x0: np.ndarray, u: SampledSignal) -> tuple[np.ndarray, np.ndarray]:
+    """States and outputs of `simulate` as arrays.
+
+    Floating point warnings are silenced, as in `_expm`: a diverging
+    simulation ends in non-finite states, which `margins` never admits.
+    """
     uv = u.values
     Phi, *gains = _step_matrices(A, B, u.dt, u.interpolation)
-    w = uv[:-1]  # per step: the input, and for first-order hold its slope
-    if u.interpolation is Interpolation.PIECEWISE_LINEAR:
-        w = np.hstack([w, (uv[1:] - uv[:-1]) / u.dt])
-    G = np.hstack(gains)
-    d = w @ G.T
-    x = _blocked_recurrence(Phi, x0, d)
-    # From the first step whose partial sums could overflow (their absolute
-    # values do), or that came out non-finite, step one node at a time, so
-    # that the states overflow where the recurrence itself does.
     with np.errstate(all="ignore"):
+        w = uv[:-1]  # per step: the input, and for first-order hold its slope
+        if u.interpolation is Interpolation.PIECEWISE_LINEAR:
+            w = np.hstack([w, (uv[1:] - uv[:-1]) / u.dt])
+        G = np.hstack(gains)
+        d = w @ G.T
+        x = _blocked_recurrence(Phi, x0, d)
+        # From the first step whose partial sums could overflow (their
+        # absolute values do), or that came out non-finite, step one node at
+        # a time, so that the states overflow where the recurrence itself does.
         reach = np.abs(x[:-1]) @ np.abs(Phi).T + np.abs(w) @ np.abs(G).T
-    risky = ~(np.isfinite(reach).all(axis=1) & np.isfinite(x[1:]).all(axis=1))
-    if risky.any():
-        for k in range(int(np.argmax(risky)), len(d)):
-            x[k + 1] = Phi @ x[k] + d[k]
-    y = x @ C.T + uv @ D.T
+        risky = ~(np.isfinite(reach).all(axis=1) & np.isfinite(x[1:]).all(axis=1))
+        if risky.any():
+            for k in range(int(np.argmax(risky)), len(d)):
+                x[k + 1] = Phi @ x[k] + d[k]
+        y = x @ C.T + uv @ D.T
     return x, y
 
 

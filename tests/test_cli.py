@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -446,6 +447,34 @@ def test_simulate_overflowing_trajectory_is_not_admissible(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(["simulate", path]) == 0
     assert '"admissible": false' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("a, first_violation", [(800, 0.89), (1e30, 0.01)])
+@pytest.mark.parametrize("command, code", [("simulate", 0), ("certify", 5)])
+def test_diverging_simulation_writes_no_warnings(tmp_path, capsys, a, first_violation,
+                                                 command, code):
+    """The states overflow (a = 800) or the matrix exponential does (a = 1e30);
+    neither may warn, since the verdict already accounts for it."""
+    obj = {
+        "system": {"A": [[a]], "B": [[1, 1]], "C": [[1]], "D": [[0, 0]]},
+        "constraints": {"u": {"type": "box", "lower": [-1, -1], "upper": [1, 1]},
+                        "x": {"type": "full"}},
+        "scenario": {"x0": [1.0], "signals": {"z": signal_obj(np.zeros((101, 2)), dt=0.01)}},
+    }
+    path = write(tmp_path, "diverging.json", obj)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, path]) == code
+    assert [str(w.message) for w in caught] == []
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command == "simulate":
+        summary = json.loads(out[out.index("{"):])
+        assert summary == {"admissible": False, "first_violation": first_violation}
+    else:
+        assert json.loads(out) == {
+            "certificate": None,
+            "error": f"nominal trajectory leaves the constraints at t = {first_violation}"}
 
 
 @pytest.mark.parametrize("block", [
