@@ -120,39 +120,39 @@ def _fixpoint(step: Callable[[_T], _T], start: _T, bound: int) -> _T:
     raise FixpointNotConverged(f"no fixpoint after {bound} steps")
 
 
+def _weakly_unobservable(A: RationalMatrix, B: RationalMatrix, C: RationalMatrix,
+                         D: RationalMatrix) -> Subspace:
+    """`weakly_unobservable` of (A, B, C, D); C may have no rows.
+
+    Fixpoint on V_{i+1} = {x : [A; C] x in (V_i x {0}) + im [B; D]} from
+    the whole state space, run on the equations Z_i of V_i:
+    V_{i+1} = {x : [Z_i A; C] x in im [Z_i B; D]}, one elimination per step.
+    """
+    def step(Z: RationalMatrix) -> RationalMatrix:
+        return preimage_equations(RationalMatrix.vstack(Z @ A, C),
+                                  RationalMatrix.vstack(Z @ B, D))
+
+    return kernel(_fixpoint(step, RationalMatrix.zeros(0, A.rows), A.rows + 1))
+
+
 def max_controlled_invariant(A: RationalMatrix, B: RationalMatrix, K: Subspace) -> Subspace:
     """Largest (A, B)-controlled invariant subspace contained in K.
 
-    Standard fixpoint V0 = K, V_{i+1} = K n A^{-1}(V_i + im B), stationary
-    after at most dim K steps.  It runs on the equations Z_i of V_i: with
-    Z_K those of K, V_{i+1} = {x : [Z_i A; Z_K] x in im [Z_i B; 0]}, one
-    elimination per step.
+    It is the weakly unobservable subspace of (A, B, Z_K, 0), Z_K the
+    equations of K (Trentelman, Stoorvogel and Hautus, *Control Theory for
+    Linear Systems*, 2001, ch. 7).  The fixpoint's first step yields Z_K, and
+    the later ones the chain V0 = K, V_{i+1} = K n A^{-1}(V_i + im B).
     """
     if K.ambient_dim != A.rows:
         raise DimensionMismatch("constraint subspace must live in the state space")
     on_k = preimage_equations(RationalMatrix.identity(A.rows), K.basis)
-    zero = RationalMatrix.zeros(on_k.rows, B.cols)
-
-    def step(Z: RationalMatrix) -> RationalMatrix:
-        return preimage_equations(RationalMatrix.vstack(Z @ A, on_k),
-                                  RationalMatrix.vstack(Z @ B, zero))
-
-    return kernel(_fixpoint(step, on_k, A.rows + 1))
+    return _weakly_unobservable(A, B, on_k, RationalMatrix.zeros(on_k.rows, B.cols))
 
 
 def weakly_unobservable(sys: SystemQuadruple) -> Subspace:
-    """States from which some input keeps the output identically zero.
-
-    Fixpoint on V_{i+1} = {x : [A; C] x in (V_i x {0}) + im [B; D]},
-    starting from the whole state space.  It runs on the equations Z_i of
-    V_i: V_{i+1} = {x : [Z_i A; C] x in im [Z_i B; D]}, one elimination per
-    step.
-    """
-    def step(Z: RationalMatrix) -> RationalMatrix:
-        return preimage_equations(RationalMatrix.vstack(Z @ sys.A, sys.C),
-                                  RationalMatrix.vstack(Z @ sys.B, sys.D))
-
-    return kernel(_fixpoint(step, RationalMatrix.zeros(0, sys.n), sys.n + 1))
+    """States from which some input keeps the output identically zero: the
+    largest V with (A + BF) V <= V and (C + DF) V = 0 for some F."""
+    return _weakly_unobservable(sys.A, sys.B, sys.C, sys.D)
 
 
 def _friend_matrix(A: RationalMatrix, B: RationalMatrix, W: Subspace,
@@ -262,10 +262,6 @@ class ReducedSystem:
     @property
     def l(self) -> int:
         return self.T.cols
-
-    @property
-    def input_dim(self) -> int:
-        return self.L.cols
 
 
 def reduce_system(sys: SystemQuadruple, u_set: Subspace, x_set: Subspace,

@@ -12,12 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad_vec, solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
 import inred
-from inred.exact import RationalMatrix, Subspace, image, kernel, preimage
+from inred.exact import RationalMatrix, Subspace, image, kernel, preimage, preimage_equations
 from inred.geometry import (
     DegenerateStateSpace,
     FixpointNotConverged,
@@ -96,6 +98,31 @@ def test_isa_fixpoint_and_maximality_spot_check():
                 continue
             W = V + span(n, v)
             assert not (image(A @ W.basis) <= W + image(B))
+
+
+def max_controlled_invariant_chain(A, B, K):
+    """V* by its own chain, as it ran before it became the V fixpoint of
+    (A, B, Z_K, 0): V0 = K, V_{i+1} = K n A^{-1}(V_i + im B), one elimination
+    per step on the equations of V_i."""
+    on_k = preimage_equations(RationalMatrix.identity(A.rows), K.basis)
+    zero = RationalMatrix.zeros(on_k.rows, B.cols)
+
+    def step(Z):
+        return preimage_equations(RationalMatrix.vstack(Z @ A, on_k),
+                                  RationalMatrix.vstack(Z @ B, zero))
+
+    return kernel(_fixpoint(step, on_k, A.rows + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False), data=st.data())
+def test_max_controlled_invariant_matches_its_own_chain(rng, data):
+    sys = random_system(rng, n_max=7)
+    n = sys.n
+    dim = data.draw(st.sampled_from([0, n, rng.randint(0, n)]), label="dim K")
+    K = random_subspace(rng, n, dim)
+    B = sys.B if data.draw(st.booleans(), label="with inputs") else RationalMatrix.zeros(n, 0)
+    assert max_controlled_invariant(sys.A, B, K) == max_controlled_invariant_chain(sys.A, B, K)
 
 
 # ---------------------------------------------------------------------------
