@@ -39,7 +39,6 @@ from .scenario import (
 from .trajectory import (
     GridMismatch,
     SampledSignal,
-    SingularGramian,
     boundary_residence,
     check_admissible,
     simulate,
@@ -70,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("paths", nargs="+", help="scenario JSON file(s)")
         p.add_argument("--out", help="output file (or directory with several inputs)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="process several scenario files in parallel")
+                       help="run several scenario files on this many threads")
 
     p_an = sub.add_parser("analyze", help="exact redundancy classification")
     common(p_an)
@@ -116,26 +115,20 @@ def _pick_signal(scenario: Scenario, name: Optional[str], fallback: Optional[str
     return scenario.signals[chosen]
 
 
-def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
-    """CSV of float columns, each value written with `repr`.
+def _csv_text(times: np.ndarray, **signals: Optional[SampledSignal]) -> str:
+    """CSV of the times and of each signal given (not None), whose columns are
+    named by its keyword and index; each value is written with `repr`.
 
     The bytes are those of `csv.writer`'s default dialect: no `repr` of a
     float needs quoting, and every line ends with CRLF.
     """
-    rows = np.column_stack(columns).tolist()
+    given = {name: sig for name, sig in signals.items() if sig is not None}
+    header = ["t"] + [f"{name}{i}" for name, sig in given.items() for i in range(sig.dim)]
+    rows = np.column_stack([times] + [sig.values for sig in given.values()]).tolist()
     lines = [",".join(header)]
     lines += [",".join(map(repr, row)) for row in rows]
     lines.append("")
     return "\r\n".join(lines)
-
-
-def _trajectory_csv(triple) -> str:
-    header = (["t"]
-              + [f"u{i}" for i in range(triple.u.dim)]
-              + [f"x{i}" for i in range(triple.x.dim)]
-              + [f"y{i}" for i in range(triple.y.dim)])
-    return _csv_text(header, [triple.u.times(), triple.u.values,
-                              triple.x.values, triple.y.values])
 
 
 def _certificate_dict(cert: synthesis.IRCertificate) -> dict:
@@ -186,9 +179,7 @@ def _cmd_certify(scenario: Scenario, args: argparse.Namespace, out: Optional[Pat
                 exc.nominal, scenario.u_constraint, scenario.x_constraint, exc.rho)
         _emit(json.dumps(payload, indent=2), out)
         return EXIT_NO_WINDOW
-    except (synthesis.VerificationFailed, synthesis.RhoZero, synthesis.RZero,
-            synthesis.NotAdmissibleNominal, synthesis.ZeroMargin, synthesis.EmptyWindow,
-            SingularGramian) as exc:
+    except synthesis.FAILURES as exc:
         _emit(json.dumps({"certificate": None, "error": str(exc)}, indent=2), out)
         return EXIT_FAILED
     _emit(json.dumps(_certificate_dict(cert), indent=2), out)
@@ -203,7 +194,7 @@ def _cmd_simulate(scenario: Scenario, args: argparse.Namespace, out: Optional[Pa
     adm = check_admissible(triple, scenario.u_constraint, scenario.x_constraint)
     summary = json.dumps(
         {"admissible": adm.ok, "first_violation": adm.first_violation}, indent=2)
-    csv_text = _trajectory_csv(triple)
+    csv_text = _csv_text(triple.u.times(), u=triple.u, x=triple.x, y=triple.y)
     if out is None:
         sys.stdout.write(csv_text)
         sys.stdout.write(summary + "\n")
@@ -219,24 +210,12 @@ def _cmd_synthesize(scenario: Scenario, args: argparse.Namespace, out: Optional[
         raise ScenarioError("no synthesis window: provide scenario.window or --window")
     if scenario.grid is None:
         raise ScenarioError("synthesize needs a scenario.grid block")
-    grid = scenario.grid
     try:
-        if analysis.joint_kernel_dim(scenario.system.B, scenario.system.D) > 0:
-            u_hat = synthesis.synthesize_kernel_bump(
-                scenario.system.B, scenario.system.D, window, grid)
-            x_hat = None
-        else:
-            u_hat, x_hat = synthesis.synthesize_state_loop(scenario.system, window, grid)
-    except (synthesis.RhoZero, synthesis.RZero, synthesis.EmptyWindow,
-            SingularGramian) as exc:
+        u_hat, x_hat, _ = synthesis.synthesize_increment(scenario.system, window, scenario.grid)
+    except synthesis.FAILURES as exc:
         _emit(json.dumps({"error": str(exc)}, indent=2), out)
         return EXIT_FAILED
-    header = ["t"] + [f"u{i}" for i in range(u_hat.dim)]
-    columns = [u_hat.times(), u_hat.values]
-    if x_hat is not None:
-        header += [f"x{i}" for i in range(x_hat.dim)]
-        columns.append(x_hat.values)
-    _emit(_csv_text(header, columns), out)
+    _emit(_csv_text(u_hat.times(), u=u_hat, x=x_hat), out)
     return EXIT_OK
 
 

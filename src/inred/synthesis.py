@@ -29,6 +29,7 @@ from .trajectory import (
     Interpolation,
     SIGNAL_TOL,
     SampledSignal,
+    SingularGramian,
     TrajectoryTriple,
     check_admissible,
     gramian_transfer_data,
@@ -99,6 +100,10 @@ class StateLoop:
 
 Route = Union[KernelBump, StateLoop]
 
+#: what ends a synthesis or a certification without a result (CLI exit code 5)
+FAILURES = (VerificationFailed, RhoZero, RZero, NotAdmissibleNominal, ZeroMargin,
+            EmptyWindow, SingularGramian)
+
 
 @dataclass(frozen=True)
 class IncrementCheck:
@@ -127,6 +132,13 @@ def _window_indices(window: tuple[float, float], grid: Grid) -> tuple[int, int]:
     if i2 - i1 < 2:
         raise EmptyWindow("window spans fewer than two grid steps")
     return i1, i2
+
+
+def _loop_nodes(window: tuple[float, float], grid: Grid) -> tuple[int, int, int]:
+    """Window ends and the midpoint node where the state loop's two transfers
+    meet; the window spans at least two steps, so the midpoint is inside it."""
+    i1, i2 = _window_indices(window, grid)
+    return i1, (i1 + i2) // 2, i2
 
 
 def synthesize_kernel_bump(B: RationalMatrix, D: RationalMatrix,
@@ -167,10 +179,7 @@ def synthesize_state_loop(sys: SystemQuadruple, window: tuple[float, float],
     ra = ab.Ta.cols
     if ra == 0:
         raise RZero("output-invisible controllable subspace is trivial")
-    i1, i2 = _window_indices(window, grid)
-    imid = (i1 + i2) // 2
-    if imid == i1 or imid == i2:
-        raise EmptyWindow("window too narrow to split into two transfers")
+    i1, imid, i2 = _loop_nodes(window, grid)
     A11 = ab.A11.to_float()
     B1 = ab.B1.to_float()
     Ta = ab.Ta.to_float()
@@ -195,6 +204,22 @@ def synthesize_state_loop(sys: SystemQuadruple, window: tuple[float, float],
     u_hat = SampledSignal(grid.t0, grid.dt, u_vals, Interpolation.PIECEWISE_LINEAR)
     x_hat = SampledSignal(grid.t0, grid.dt, x_vals, Interpolation.PIECEWISE_LINEAR)
     return u_hat, x_hat
+
+
+def synthesize_increment(sys: SystemQuadruple, window: tuple[float, float],
+                         grid: Grid) -> tuple[SampledSignal, Optional[SampledSignal], Route]:
+    """The unscaled increment for a window, its state and its route.
+
+    The kernel bump when ker B n ker D is nonzero (rho > 0); its state never
+    moves, so it comes back as None.  Otherwise the state loop, whose route
+    records the state and time at the loop's midpoint node.
+    """
+    if joint_kernel_dim(sys.B, sys.D) > 0:
+        return synthesize_kernel_bump(sys.B, sys.D, window, grid), None, KernelBump()
+    u_hat, x_hat = synthesize_state_loop(sys, window, grid)
+    _, imid, _ = _loop_nodes(window, grid)
+    return u_hat, x_hat, StateLoop(x_peak=x_hat.values[imid].copy(),
+                                   t_mid=float(grid.times()[imid]))
 
 
 def _peak(increment: SampledSignal) -> float:
@@ -277,11 +302,10 @@ def certify_ir_pair(sys: SystemQuadruple, u_set: ConstraintSet, x_set: Constrain
     """Certify that (x0, output of u_nominal) is an input-redundant pair.
 
     Simulates the nominal trajectory, finds the widest interior window along
-    it, synthesizes the route matching the static kernel dimension (bump when
-    positive, state loop otherwise), scales by the observed margins and
-    verifies the result by simulation, reusing the nominal triple.  A missing
-    window raises NoInteriorWindow and is inconclusive; it does not prove
-    non-redundancy.
+    it, builds the increment there (`synthesize_increment`), scales it by the
+    observed margins and verifies the result by simulation, reusing the
+    nominal triple.  A missing window raises NoInteriorWindow and is
+    inconclusive; it does not prove non-redundancy.
     """
     rho = joint_kernel_dim(sys.B, sys.D)
     nominal = simulate(sys, x0, u_nominal)
@@ -296,16 +320,8 @@ def certify_ir_pair(sys: SystemQuadruple, u_set: ConstraintSet, x_set: Constrain
             "no interior window along the nominal trajectory; result inconclusive",
             nominal, rho,
         )
-    grid = u_nominal.grid
     window = (win.t1, win.t2)
-    if rho > 0:
-        u_hat = synthesize_kernel_bump(sys.B, sys.D, window, grid)
-        x_hat = None
-        route: Route = KernelBump()
-    else:
-        u_hat, x_hat = synthesize_state_loop(sys, window, grid)
-        imid = grid.index_of(win.t1) + (grid.index_of(win.t2) - grid.index_of(win.t1)) // 2
-        route = StateLoop(x_peak=x_hat.values[imid].copy(), t_mid=float(grid.times()[imid]))
+    u_hat, x_hat, route = synthesize_increment(sys, window, u_nominal.grid)
     alpha = compute_scaling(win.r_u_min, win.r_x_min, u_hat, x_hat, rho)
     u_tilde = u_hat.scaled(alpha)
     check = _verify(sys, u_set, x_set, nominal, u_tilde)

@@ -749,6 +749,31 @@ def test_synthesize_loop_route(tmp_path, capsys):
     assert mid[0] == pytest.approx(-mid[1])
 
 
+@pytest.mark.parametrize("scenario, route", [
+    (kernel_bump_certify_scenario, "kernel_bump"),
+    (lambda: buck_certify_scenario(ramp_values().tolist(), [0.2, 0.1, 0.3]), "state_loop"),
+], ids=["kernel-bump", "state-loop"])
+def test_synthesize_builds_the_increment_certify_certifies(tmp_path, capsys, scenario, route):
+    obj = scenario()
+    assert main(["certify", write(tmp_path, "certify.json", obj)]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["route"]["type"] == route
+    obj["scenario"] = {"grid": {"t0": 0.0, "dt": 1e-3, "horizon": 2.0},
+                       "window": cert["window"]}
+    assert main(["synthesize", write(tmp_path, "synthesize.json", obj)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    m = len(cert["u_hat"]["values"][0])
+    assert [[float(row[f"u{i}"]) for i in range(m)] for row in rows] == cert["u_hat"]["values"]
+    states = sorted(name for name in rows[0] if name.startswith("x"))
+    if route == "kernel_bump":
+        assert states == []
+    else:
+        t_mid = cert["route"]["t_mid"]
+        assert abs(t_mid - sum(cert["window"]) / 2) <= 0.5e-3  # the node nearest the middle
+        mid = next(row for row in rows if float(row["t"]) == t_mid)
+        assert [float(mid[name]) for name in states] == cert["route"]["x_peak"]
+
+
 def test_synthesize_failure_exit_code(tmp_path):
     obj = {
         "system": {"A": [[0]], "B": [[1]], "C": [[1]], "D": [[0]]},
