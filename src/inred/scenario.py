@@ -22,7 +22,7 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .exact import DimensionMismatch, RationalMatrix, Subspace, as_fraction
+from .exact import DimensionMismatch, RationalMatrix, Subspace, as_fraction, image
 from .geometry import PinnedBases, SystemQuadruple
 from .trajectory import (
     Box,
@@ -181,8 +181,10 @@ def _constraint(obj: Any, dim: int, path: str) -> ConstraintSet:
     if kind == "full":
         return FullSpace(dim)
     if kind == "subspace":
-        span = _rational_matrix(obj.get("span", []), f"{path}.span")
-        return LinearSubspaceSet(Subspace.from_vectors(dim, span.entries))
+        span = _rational_matrix(obj.get("span", []), f"{path}.span")  # one vector per row
+        if span.rows and span.cols != dim:
+            raise DimensionMismatch("spanning vector of wrong length")
+        return LinearSubspaceSet(image(span.transpose()) if span.rows else Subspace.zero(dim))
     if kind == "box":
         lower, upper = (_floats(_field(obj, key, path), f"{path}.{key}", null=unbounded)
                         for key, unbounded in (("lower", -math.inf), ("upper", math.inf)))
