@@ -354,10 +354,7 @@ def _float_system(sys: "SystemQuadruple") -> tuple[np.ndarray, np.ndarray, np.nd
 
 def _expm(M: np.ndarray) -> np.ndarray:
     """`scipy.linalg.expm`, imported on the first call (see the module docstring).
-
-    Floating point warnings are silenced: an exponential that overflows
-    yields non-finite states, which `margins` never admits.
-    """
+    It does not warn on overflow: `margins` never admits a non-finite state."""
     from scipy.linalg import expm
 
     with np.errstate(all="ignore"):
@@ -419,14 +416,9 @@ def _blocked_recurrence(Phi: np.ndarray, x0: np.ndarray, d: np.ndarray) -> np.nd
 
 def _simulate_arrays(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
                      x0: np.ndarray, u: SampledSignal) -> tuple[np.ndarray, np.ndarray]:
-    """States and outputs of `simulate` as arrays.
-
-    Floating point warnings are silenced, as in `_expm`: a diverging
-    simulation ends in non-finite states, which `margins` never admits.
-    """
     uv = u.values
     Phi, *gains = _step_matrices(A, B, u.dt, u.interpolation)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # as in `_expm`
         w = uv[:-1]  # per step: the input, and for first-order hold its slope
         if u.interpolation is Interpolation.PIECEWISE_LINEAR:
             w = np.hstack([w, (uv[1:] - uv[:-1]) / u.dt])
