@@ -76,6 +76,7 @@ from .synthesis import (
     VerificationFailed,
     certify_ir_pair,
     compute_scaling,
+    synthesize_increment,
     synthesize_kernel_bump,
     synthesize_state_loop,
     verify_increment,

@@ -199,6 +199,17 @@ def test_analyze_dimension_mismatch(tmp_path):
     assert main(["analyze", path]) == 6
 
 
+def test_span_of_the_wrong_length_exits_6_and_an_empty_span_is_zero(tmp_path, capsys):
+    obj = four_input_scenario(pin=False)
+    obj["constraints"]["x"] = {"type": "subspace", "span": [[1, 0]]}
+    path = write(tmp_path, "short_span.json", obj)
+    assert main(["analyze", path]) == 6
+    assert capsys.readouterr().err == f"{path}: spanning vector of wrong length\n"
+    obj["constraints"]["x"] = {"type": "subspace", "span": []}
+    assert main(["analyze", write(tmp_path, "empty_span.json", obj)]) == 0
+    assert json.loads(capsys.readouterr().out)["l"] == 0
+
+
 def full_four_input_scenario(**pinned):
     obj = {"system": FOUR_INPUT_SYSTEM,
            "constraints": {"u": {"type": "full"}, "x": {"type": "full"}}}
