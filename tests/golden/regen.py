@@ -287,6 +287,8 @@ def trajectory_cases() -> Iterator[tuple[str, str, dict, tuple[str, ...]]]:
     yield "synthesize-buck-loop", "synthesize", _synthesize(BUCK, [0.0, 1.0]), ()
     yield "synthesize-buck-loop-flag", "synthesize", _synthesize(BUCK, [0.0, 1.0]), (
         "--window", "0.25", "1.75")
+    # 10,000 steps per half of the loop: the Gramian transfer's long-grid case
+    yield "synthesize-buck-loop-long", "synthesize", _synthesize(BUCK, [0.0, 2.0], 1e-4), ()
     for i, system in enumerate(_loop_systems()):
         yield f"synthesize-loop-{i}", "synthesize", _synthesize(system, [0.0, 0.8], 1e-3, 1.0), ()
     yield "synthesize-integrator-fails", "synthesize", _synthesize(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from inred.exact import DimensionMismatch, Subspace
 from inred.trajectory import (
@@ -230,6 +231,37 @@ def test_blocked_simulation_matches_the_stepwise_loop(case):
     assert first_non_finite(x) == k
     if k:
         assert np.max(np.abs(x[:k] - x_ref[:k])) <= 1e-10 * (1 + np.max(np.abs(x_ref[:k])))
+
+
+# The step matrices as hand-built block exponentials, before they shared one
+# builder, kept verbatim (scipy's expm standing in for the package's
+# wrapper) as the reference.
+def step_matrices_by_hand(A, B, dt, interpolation):
+    n, m = B.shape
+    if interpolation is Interpolation.ZERO_ORDER_HOLD:
+        M = np.zeros((n + m, n + m))
+        M[:n, :n] = A
+        M[:n, n:] = B
+        E = expm(M * dt)
+        return E[:n, :n], E[:n, n:]
+    # piecewise linear: augment with the input and its (constant) slope
+    M = np.zeros((n + 2 * m, n + 2 * m))
+    M[:n, :n] = A
+    M[:n, n:n + m] = B
+    M[n:n + m, n + m:] = np.eye(m)
+    E = expm(M * dt)
+    return E[:n, :n], E[:n, n:n + m], E[:n, n + m:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=simulation_cases())
+def test_step_matrices_are_the_hand_built_exponentials(case):
+    A, B, _, _, _, u = case
+    with np.errstate(all="ignore"):
+        want = step_matrices_by_hand(A, B, u.dt, u.interpolation)
+    got = _step_matrices(A, B, u.dt, u.interpolation)
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
 
 
 @settings(max_examples=100, deadline=None)
