@@ -2,10 +2,11 @@
 
 This is the floating-point side of the package: sampled signals on uniform
 grids, exact-per-step discretization of the LTI dynamics through augmented
-matrix exponentials, the minimum-energy (Gramian) transfer built from the
-same kind of exponential, the lift of reduced-system trajectories, and the
-sampled checks used by the certification layer (interiority windows,
-boundary residence, signal comparison).
+matrix exponentials (each built by `_upper_expm`), the minimum-energy
+(Gramian) transfer, whose state phi and costate v are chained by the
+simulator's blocked recurrence, the lift of reduced-system trajectories,
+and the sampled checks used by the certification layer (interiority
+windows, boundary residence, signal comparison).
 
 The discretization is exact for inputs representable by their declared
 interpolation rule, so halving the step changes trajectories only at the
@@ -352,31 +353,36 @@ def _float_system(sys: "SystemQuadruple") -> tuple[np.ndarray, np.ndarray, np.nd
     return sys.A.to_float(), sys.B.to_float(), sys.C.to_float(), sys.D.to_float()
 
 
-def _expm(M: np.ndarray) -> np.ndarray:
-    """`scipy.linalg.expm`, imported on the first call (see the module docstring).
-    It does not warn on overflow: `margins` never admits a non-finite state."""
+def _upper_expm(A: np.ndarray, B: np.ndarray, S: np.ndarray,
+                t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks E11 and E12 of expm([[A, B], [0, S]] t); with S of order 0 and
+    B of no columns, E11 is e^{At} alone.
+
+    scipy is imported on the first call (see the module docstring).  It does
+    not warn on overflow: `margins` never admits a non-finite state.
+    """
     from scipy.linalg import expm
 
+    n = A.shape[0]
+    M = np.zeros((n + S.shape[0],) * 2)
+    M[:n, :n] = A
+    M[:n, n:] = B
+    M[n:, n:] = S
     with np.errstate(all="ignore"):
-        return expm(M)
+        E = expm(M * t)
+    return E[:n, :n], E[:n, n:]
 
 
 def _step_matrices(A: np.ndarray, B: np.ndarray, dt: float,
                    interpolation: Interpolation) -> tuple[np.ndarray, ...]:
-    n, m = B.shape
+    m = B.shape[1]
     if interpolation is Interpolation.ZERO_ORDER_HOLD:
-        M = np.zeros((n + m, n + m))
-        M[:n, :n] = A
-        M[:n, n:] = B
-        E = _expm(M * dt)
-        return E[:n, :n], E[:n, n:]
+        return _upper_expm(A, B, np.zeros((m, m)), dt)
     # piecewise linear: augment with the input and its (constant) slope
-    M = np.zeros((n + 2 * m, n + 2 * m))
-    M[:n, :n] = A
-    M[:n, n:n + m] = B
-    M[n:n + m, n + m:] = np.eye(m)
-    E = _expm(M * dt)
-    return E[:n, :n], E[:n, n:n + m], E[:n, n + m:]
+    slope = np.zeros((2 * m, 2 * m))
+    slope[:m, m:] = np.eye(m)
+    Phi, G = _upper_expm(A, np.hstack([B, np.zeros_like(B)]), slope, dt)
+    return Phi, G[:, :m], G[:, m:]
 
 
 def _blocked_recurrence(Phi: np.ndarray, x0: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -418,7 +424,7 @@ def _simulate_arrays(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
                      x0: np.ndarray, u: SampledSignal) -> tuple[np.ndarray, np.ndarray]:
     uv = u.values
     Phi, *gains = _step_matrices(A, B, u.dt, u.interpolation)
-    with np.errstate(all="ignore"):  # as in `_expm`
+    with np.errstate(all="ignore"):  # as in `_upper_expm`
         w = uv[:-1]  # per step: the input, and for first-order hold its slope
         if u.interpolation is Interpolation.PIECEWISE_LINEAR:
             w = np.hstack([w, (uv[1:] - uv[:-1]) / u.dt])
@@ -489,15 +495,10 @@ def lift_trajectory(bundle: "ReducedSystem", eta0: Sequence[float],
 
 def reachability_gramian(A: np.ndarray, B: np.ndarray, duration: float) -> np.ndarray:
     """Finite-horizon reachability Gramian, by one augmented matrix exponential."""
-    n = A.shape[0]
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = A
-    M[:n, n:] = B @ B.T
-    M[n:, n:] = -A.T
-    E = _expm(M * duration)
+    E11, E12 = _upper_expm(A, B @ B.T, -A.T, duration)
     # E12 = int_0^T e^{(T-s)A} Q e^{-sA'} ds, so right-multiplying by e^{TA'}
     # yields the Gramian.
-    return E[:n, n:] @ E[:n, :n].T
+    return E12 @ E11.T
 
 
 GRAMIAN_RCOND_MIN = 1e-12
@@ -507,15 +508,17 @@ def gramian_transfer_data(A: np.ndarray, B: np.ndarray, p0: np.ndarray, pf: np.n
                           duration: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-energy transfer of x' = A x + B w from p0 to pf over [0, T = duration].
 
-    Returns w(t) = B' e^{(T-t)A'} eta, eta = W(T)^{-1} (pf - e^{TA} p0), and the
-    state phi(t) = e^{tA} p0 + W(t) e^{(T-t)A'} eta at the steps + 1 grid nodes;
-    phi is built incrementally and ends at pf up to round-off, which grows
-    with steps and with cond(W(T)).  Raises SingularGramian when W(T)'s
+    Returns w(t) = B' v(t), v(t) = e^{(T-t)A'} eta, eta = W(T)^{-1} (pf - e^{TA} p0),
+    and the state phi(t) = e^{tA} p0 + W(t) v(t) at the steps + 1 grid nodes.
+    v and phi are chained by the blocked recurrence (`_blocked_recurrence`)
+    over one step of [phi; v]' = [[A, BB'], [0, -A']] [phi; v]:
+    v_k = E' v_{k+1} from v_steps = eta, and phi_{k+1} = E phi_k + W(dt) v_{k+1},
+    with E = e^{dt A}.  phi ends at pf up to round-off, which grows with
+    steps and with cond(W(T)).  Raises SingularGramian when W(T)'s
     reciprocal condition is not finite or below GRAMIAN_RCOND_MIN, as when
-    (A, B) is not controllable.
+    (A, B) is not controllable, and when w or phi overflows.
     """
     n = A.shape[0]
-    dt = duration / steps
     W_total = reachability_gramian(A, B, duration)
     finite = np.isfinite(W_total).all()  # cond's SVD fails on inf or NaN entries
     rcond = (1.0 / np.linalg.cond(W_total) if finite else 0.0) if n else 1.0
@@ -523,23 +526,17 @@ def gramian_transfer_data(A: np.ndarray, B: np.ndarray, p0: np.ndarray, pf: np.n
         raise SingularGramian(
             f"reciprocal condition {rcond:.2e} below {GRAMIAN_RCOND_MIN:.0e}"
         )
-    eta = np.linalg.solve(W_total, pf - _expm(A * duration) @ p0)
-    E = _expm(A * dt)
-    W_dt = reachability_gramian(A, B, dt)
-    # backward factors v_k = e^{(T - t_k) A'} eta
-    v = np.empty((steps + 1, n))
-    v[steps] = eta
-    for k in range(steps - 1, -1, -1):
-        v[k] = E.T @ v[k + 1]
-    w = v @ B
-    phi = np.empty((steps + 1, n))
-    free = p0.copy()
-    W = np.zeros((n, n))
-    for k in range(steps + 1):
-        phi[k] = free + W @ v[k]
-        if k < steps:
-            free = E @ free
-            W = E @ W @ E.T + W_dt
+    E_T, _ = _upper_expm(A, np.zeros((n, 0)), np.zeros((0, 0)), duration)
+    eta = np.linalg.solve(W_total, pf - E_T @ p0)
+    E, G = _upper_expm(A, B @ B.T, -A.T, duration / steps)
+    with np.errstate(all="ignore"):  # as in `_upper_expm`; checked below
+        v = _blocked_recurrence(E.T, eta, np.zeros((steps, n)))[::-1]
+        # W(dt) v_{k+1} = G v_k, but G alone grows like e^{||A dt||} for a
+        # stable A, so that its product with v_k cancels
+        phi = _blocked_recurrence(E, p0, v[1:] @ (G @ E.T).T)
+        w = v @ B
+    if not (np.isfinite(w).all() and np.isfinite(phi).all()):
+        raise SingularGramian("the transfer overflows")
     return w, phi
 
 
