@@ -23,7 +23,7 @@ simulates, never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -224,24 +224,27 @@ class Box:
 
 @dataclass(frozen=True, eq=False)
 class Polyhedron:
-    """Points with G x <= g (strict: G x < g); rows are normalized for margins."""
+    """Points with G x <= g (strict: G x < g); margins divide by the row norms."""
 
     G: np.ndarray
     g: np.ndarray
     strict: bool = False
+    norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         G = np.atleast_2d(np.asarray(self.G, dtype=float))
         g = np.asarray(self.g, dtype=float).reshape(-1)
         if G.shape[0] != g.shape[0]:
             raise DimensionMismatch("polyhedron G rows must match g length")
-        norms = np.linalg.norm(G, axis=1)
-        if np.any(norms == 0):
+        peak = np.max(np.abs(G), axis=1, initial=0.0)
+        if np.any(peak == 0):
             raise ValueError("polyhedron rows must be nonzero")
-        G = G.copy(); G.flags.writeable = False
-        g = g.copy(); g.flags.writeable = False
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "g", g)
+        # each row scaled by its largest magnitude first, so that no square overflows
+        norms = peak * np.linalg.norm(G / peak[:, None], axis=1)
+        for name, arr in (("G", G), ("g", g), ("norms", norms)):
+            arr = arr.copy()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -296,35 +299,35 @@ def margins(cs: ConstraintSet, values: np.ndarray) -> np.ndarray:
     V = np.asarray(values, dtype=float)
     if V.ndim != 2 or V.shape[1] != constraint_dim(cs):
         raise DimensionMismatch("point dimension does not match constraint set")
-    finite = np.isfinite(V).all(axis=1)
-    if not finite.all():  # zeroed: lstsq rejects non-finite input
-        V = np.where(finite[:, None], V, 0.0)
-    if isinstance(cs, FullSpace):
-        m = np.full(V.shape[0], math.inf)
-    elif isinstance(cs, LinearSubspaceSet):
-        space = cs.space
-        if space.is_full():
+    with np.errstate(all="ignore"):  # points or rows near the float ceiling overflow
+        finite = np.isfinite(V).all(axis=1)
+        if not finite.all():  # zeroed: lstsq rejects non-finite input
+            V = np.where(finite[:, None], V, 0.0)
+        if isinstance(cs, FullSpace):
             m = np.full(V.shape[0], math.inf)
-        elif space.is_zero():
-            m = -np.linalg.norm(V, axis=1)
+        elif isinstance(cs, LinearSubspaceSet):
+            space = cs.space
+            if space.is_full():
+                m = np.full(V.shape[0], math.inf)
+            elif space.is_zero():
+                m = -np.linalg.norm(V, axis=1)
+            else:
+                basis = space.to_float()
+                coeff, *_ = np.linalg.lstsq(basis, V.T, rcond=None)
+                m = -np.linalg.norm(V - (basis @ coeff).T, axis=1)
+        elif isinstance(cs, Box):
+            lo = np.asarray(cs.lower)
+            up = np.asarray(cs.upper)
+            slacks = np.concatenate([
+                np.where(np.isinf(lo), math.inf, V - lo),
+                np.where(np.isinf(up), math.inf, up - V),
+            ], axis=1)
+            m = np.min(slacks, axis=1)
+        elif isinstance(cs, Polyhedron):
+            m = np.min((cs.g - V @ cs.G.T) / cs.norms, axis=1)
         else:
-            basis = space.to_float()
-            coeff, *_ = np.linalg.lstsq(basis, V.T, rcond=None)
-            m = -np.linalg.norm(V - (basis @ coeff).T, axis=1)
-    elif isinstance(cs, Box):
-        lo = np.asarray(cs.lower)
-        up = np.asarray(cs.upper)
-        slacks = np.concatenate([
-            np.where(np.isinf(lo), math.inf, V - lo),
-            np.where(np.isinf(up), math.inf, up - V),
-        ], axis=1)
-        m = np.min(slacks, axis=1)
-    elif isinstance(cs, Polyhedron):
-        norms = np.linalg.norm(cs.G, axis=1)
-        m = np.min((cs.g - V @ cs.G.T) / norms, axis=1)
-    else:
-        raise TypeError(f"unknown constraint set {type(cs).__name__}")
-    m[~finite | np.isnan(m)] = -math.inf
+            raise TypeError(f"unknown constraint set {type(cs).__name__}")
+        m[~finite | np.isnan(m)] = -math.inf
     return m
 
 

@@ -488,6 +488,41 @@ def test_diverging_simulation_writes_no_warnings(tmp_path, capsys, a, first_viol
             "error": f"nominal trajectory leaves the constraints at t = {first_violation}"}
 
 
+LARGE_ROW = {"type": "polyhedron", "G": [[1e300]], "g": [1e308]}  # x <= 1e8
+
+
+@pytest.mark.parametrize("obj, first_violation", [
+    ({"system": {"A": [[0]], "B": [[1]], "C": [[1]], "D": [[0]]},
+      "constraints": {"u": {"type": "full"}, "x": LARGE_ROW},
+      "scenario": {"x0": [1.5e8], "signals": {"z": signal_obj(np.zeros((11, 1)), dt=0.1)}}},
+     0.0),
+    ({"system": {"A": [[800]], "B": [[1, 1]], "C": [[1]], "D": [[0, 0]]},
+      "constraints": {"u": {"type": "box", "lower": [-1, -1], "upper": [1, 1]},
+                      "x": LARGE_ROW},
+      "scenario": {"x0": [1.0], "signals": {"z": signal_obj(np.zeros((101, 2)), dt=0.01)}}},
+     0.03),
+])
+@pytest.mark.parametrize("command, code", [("simulate", 0), ("certify", 5)])
+def test_polyhedron_row_of_large_scale_keeps_its_margins(tmp_path, capsys, obj, first_violation,
+                                                         command, code):
+    """The row norm 1e300 must not overflow: an infinite norm made every
+    margin 0, a boundary point, so that x0 = 1.5e8 was admitted."""
+    path = write(tmp_path, "large-row.json", obj)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, path]) == code
+    assert [str(w.message) for w in caught] == []
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command == "simulate":
+        summary = json.loads(out[out.index("{"):])
+        assert summary == {"admissible": False, "first_violation": first_violation}
+    else:
+        assert json.loads(out) == {
+            "certificate": None,
+            "error": f"nominal trajectory leaves the constraints at t = {first_violation}"}
+
+
 @pytest.mark.parametrize("block", [
     {"scenario": {"signals": [1, 2]}},
     {"scenario": {"grid": 3}},
