@@ -350,36 +350,29 @@ class AdaptedBasis:
 
 
 def adapted_basis(sys: SystemQuadruple) -> AdaptedBasis:
-    """Build the adapted basis and the transformed controllable blocks.
+    """Build the adapted basis and the controllable blocks (A11, B1).
 
-    In the new basis the closed-loop dynamics is block upper triangular, the
-    input enters only the first block, and the output reads only the last;
-    these zero patterns are asserted exactly.
+    A11 is A + BF restricted to R, and B1 holds the coordinates of B L in
+    Ta.  They are the top-left blocks of the closed loop in the basis
+    [Ta Tb Tc], where the dynamics is block upper triangular, the input
+    enters only the first block and the output reads only the last.  What
+    these zero patterns rest on is checked exactly: R and V are invariant
+    under A + BF, B L lies in R, and (C + DF) V = 0 and D L = 0.
     """
     on = output_nulling(sys)
     F, L = on.F, on.N.basis
     closed = sys.A + sys.B @ F
-    BL = sys.B @ L
     Ta = on.R.basis
+    # the restrictions raise unless R and V are invariant under A + BF
+    A11 = restriction_matrix(closed, on.R)
+    restriction_matrix(closed, on.V)
+    B1 = Ta.solve_columns(sys.B @ L)
+    if (B1 is None or not ((sys.C + sys.D @ F) @ on.V.basis).is_zero()
+            or not (sys.D @ L).is_zero()):
+        raise AssertionError("adapted basis lost its structural zero pattern")
     extra = complete_basis(Ta, [on.V.basis, RationalMatrix.identity(sys.n)])
     rb = on.V.dim - on.R.dim
-    Tb = extra.block(0, sys.n, 0, rb)
-    Tc = extra.block(0, sys.n, rb, extra.cols)
-    S = RationalMatrix.hstack(Ta, Tb, Tc)
-    S_inv = S.inverse()
-    A_bar = S_inv @ closed @ S
-    B_bar = S_inv @ BL
-    ra = Ta.cols
-    n = sys.n
-    if not (A_bar.block(ra, n, 0, ra).is_zero()
-            and A_bar.block(ra + rb, n, ra, ra + rb).is_zero()
-            and B_bar.block(ra, n, 0, B_bar.cols).is_zero()
-            and ((sys.C + sys.D @ F) @ S).block(0, sys.p, 0, ra + rb).is_zero()
-            and (sys.D @ L).is_zero()):
-        raise AssertionError("adapted basis lost its structural zero pattern")
     return AdaptedBasis(
-        Ta=Ta, Tb=Tb, Tc=Tc,
-        A11=A_bar.block(0, ra, 0, ra),
-        B1=B_bar.block(0, ra, 0, B_bar.cols),
-        F=F, L=L,
+        Ta=Ta, Tb=extra.block(0, sys.n, 0, rb), Tc=extra.block(0, sys.n, rb, extra.cols),
+        A11=A11, B1=B1, F=F, L=L,
     )
