@@ -239,8 +239,12 @@ class Polyhedron:
         peak = np.max(np.abs(G), axis=1, initial=0.0)
         if np.any(peak == 0):
             raise ValueError("polyhedron rows must be nonzero")
-        # each row scaled by its largest magnitude first, so that no square overflows
-        norms = peak * np.linalg.norm(G / peak[:, None], axis=1)
+        # each row scaled by its largest magnitude first, so that no square
+        # overflows; a norm beyond the float range would make every margin 0
+        with np.errstate(over="ignore"):
+            norms = peak * np.linalg.norm(G / peak[:, None], axis=1)
+        if not np.isfinite(norms).all():
+            raise ValueError("polyhedron row norms must be finite")
         for name, arr in (("G", G), ("g", g), ("norms", norms)):
             arr = arr.copy()
             arr.flags.writeable = False
@@ -286,6 +290,7 @@ def _classify(margin: float, tol: float) -> Membership:
     return Membership(Status.BOUNDARY, 0.0)
 
 
+@np.errstate(all="ignore")  # points or rows near the float ceiling overflow
 def margins(cs: ConstraintSet, values: np.ndarray) -> np.ndarray:
     """One distance-like margin per row of an (N, dim) array of points.
 
@@ -299,35 +304,34 @@ def margins(cs: ConstraintSet, values: np.ndarray) -> np.ndarray:
     V = np.asarray(values, dtype=float)
     if V.ndim != 2 or V.shape[1] != constraint_dim(cs):
         raise DimensionMismatch("point dimension does not match constraint set")
-    with np.errstate(all="ignore"):  # points or rows near the float ceiling overflow
-        finite = np.isfinite(V).all(axis=1)
-        if not finite.all():  # zeroed: lstsq rejects non-finite input
-            V = np.where(finite[:, None], V, 0.0)
-        if isinstance(cs, FullSpace):
+    finite = np.isfinite(V).all(axis=1)
+    if not finite.all():  # zeroed: lstsq rejects non-finite input
+        V = np.where(finite[:, None], V, 0.0)
+    if isinstance(cs, FullSpace):
+        m = np.full(V.shape[0], math.inf)
+    elif isinstance(cs, LinearSubspaceSet):
+        space = cs.space
+        if space.is_full():
             m = np.full(V.shape[0], math.inf)
-        elif isinstance(cs, LinearSubspaceSet):
-            space = cs.space
-            if space.is_full():
-                m = np.full(V.shape[0], math.inf)
-            elif space.is_zero():
-                m = -np.linalg.norm(V, axis=1)
-            else:
-                basis = space.to_float()
-                coeff, *_ = np.linalg.lstsq(basis, V.T, rcond=None)
-                m = -np.linalg.norm(V - (basis @ coeff).T, axis=1)
-        elif isinstance(cs, Box):
-            lo = np.asarray(cs.lower)
-            up = np.asarray(cs.upper)
-            slacks = np.concatenate([
-                np.where(np.isinf(lo), math.inf, V - lo),
-                np.where(np.isinf(up), math.inf, up - V),
-            ], axis=1)
-            m = np.min(slacks, axis=1)
-        elif isinstance(cs, Polyhedron):
-            m = np.min((cs.g - V @ cs.G.T) / cs.norms, axis=1)
+        elif space.is_zero():
+            m = -np.linalg.norm(V, axis=1)
         else:
-            raise TypeError(f"unknown constraint set {type(cs).__name__}")
-        m[~finite | np.isnan(m)] = -math.inf
+            basis = space.to_float()
+            coeff, *_ = np.linalg.lstsq(basis, V.T, rcond=None)
+            m = -np.linalg.norm(V - (basis @ coeff).T, axis=1)
+    elif isinstance(cs, Box):
+        lo = np.asarray(cs.lower)
+        up = np.asarray(cs.upper)
+        slacks = np.concatenate([
+            np.where(np.isinf(lo), math.inf, V - lo),
+            np.where(np.isinf(up), math.inf, up - V),
+        ], axis=1)
+        m = np.min(slacks, axis=1)
+    elif isinstance(cs, Polyhedron):
+        m = np.min((cs.g - V @ cs.G.T) / cs.norms, axis=1)
+    else:
+        raise TypeError(f"unknown constraint set {type(cs).__name__}")
+    m[~finite | np.isnan(m)] = -math.inf
     return m
 
 

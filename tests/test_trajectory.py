@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -83,6 +84,16 @@ def test_polyhedron_margin_normalized():
     m = membership(cs, [0.0, 0.0])
     assert m.status is Status.INTERIOR
     assert m.margin == pytest.approx(1.0)
+
+
+def test_polyhedron_row_norm_does_not_overflow():
+    # the norm 1.41e308 of the row fits in a float, its square does not
+    m = membership(Polyhedron([[1e308, 1e308]], [1.0]), [0.5, 0.5])
+    assert m.status is Status.OUTSIDE and m.margin == pytest.approx(-math.sqrt(0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="norms must be finite"):
+            Polyhedron([[1.5e308, 1.5e308]], [1.0])
 
 
 def test_membership_trichotomy_random():
