@@ -400,8 +400,8 @@ def _blocked_recurrence(Phi: np.ndarray, x0: np.ndarray, d: np.ndarray) -> np.nd
     every block at once, in b steps over an (nblocks, n) array, with Phi^j
     accumulated along the way; (b) the block-start states s, in nblocks
     steps of Phi^b; (c) each node as Phi^j s + z, in one einsum.  A power
-    Phi^j may overflow where the states do not; the caller silences the
-    warning and steps such nodes again.
+    Phi^j may overflow where the states do not; the callers silence the
+    warning, and the simulator steps such nodes again.
     """
     K, n = d.shape
     b = math.isqrt(K)
