@@ -20,8 +20,11 @@ writes:
 
 Each case is written to corpus/<name>.json in a scratch directory and run
 from there by that relative path, because the CLI prefixes stderr with the
-path it was given.  A Python warning raised during a run is appended to its
-stderr as "Category: message", without its source location.
+path it was given.  A case of several files is written to
+corpus/<name>-<i>.json and run with `--out out/<name>`; its digest also pins
+the SHA-256 of each file written there.  A Python warning raised during a
+run is appended to its stderr as "Category: message", without its source
+location.
 
     python tests/golden/regen.py          # rewrite digests.json
     python tests/golden/regen.py --check  # compare; exit 1 on a difference
@@ -273,6 +276,16 @@ def trajectory_cases() -> Iterator[tuple[str, str, dict, tuple[str, ...]]]:
     yield "certify-escape", "certify", _escape(0.5), ()
     yield "certify-diverging-800", "certify", _diverging(800), ()
     yield "certify-diverging-1e30", "certify", _diverging(1e30), ()
+    # ker [B; D] is spanned by (1, -1e200): a finite increment whose node
+    # norms overflow when each entry is squared
+    yield "certify-huge-kernel-direction", "certify", _with_nominal(
+        {"A": [[-1]], "B": [[1, "1e-200"]], "C": [[1]], "D": [[0, 0]]},
+        _box([-1, -1], [1, 1]), {"type": "full"}, [0.0], np.zeros((11, 2)), dt=0.01), ()
+    # draw 6 of item 1's unconstrained Kind2 systems (random.Random(7)): the
+    # sampled loop leaves V between the nodes, so verification fails
+    yield "certify-loop-verification-fails", "certify", _with_nominal(
+        {"A": [[1, -1], [-1, 2]], "B": [[1, 0], [-2, -2]], "C": [[0, 1]], "D": [[0, -1]]},
+        {"type": "full"}, {"type": "full"}, [0.0, 0.0], np.zeros((101, 2)), dt=0.01), ()
     yield "certify-integrator-no-loop", "certify", _with_nominal(
         {"A": [[0]], "B": [[1]], "C": [[1]], "D": [[0]]}, _box([-1], [1]), {"type": "full"},
         [0.0], np.zeros((2001, 1))), ()
@@ -298,12 +311,15 @@ def trajectory_cases() -> Iterator[tuple[str, str, dict, tuple[str, ...]]]:
 
 def corpus() -> list[tuple[str, str, Any, tuple[str, ...]]]:
     """Every case as (name, command, scenario, flags); a str scenario is
-    written verbatim."""
+    written verbatim, and a tuple holds several scenario files, run at once
+    with `--out DIR`."""
     cases = []
     analyze = [(name, obj, ()) for name, obj in random_analyze_scenarios()]
     for name, obj, flags in [*analyze, *named_analyze_scenarios()]:
         cases.append((f"analyze-{name}", "analyze", obj, flags))
         cases.append((f"analyze-{name}-text", "analyze", obj, (*flags, "--format", "text")))
+    cases.append(("analyze-out-dir", "analyze", (
+        _four_input_constrained(), {"system": BUCK, "constraints": FULL}, '{"system": ['), ()))
     cases.extend(trajectory_cases())
     return cases
 
@@ -316,13 +332,13 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run_case(path: str, command: str, flags: tuple[str, ...]) -> tuple[int, str, str]:
+def run_case(paths: list[str], command: str, flags: tuple[str, ...]) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        code = main([command, path, *flags])
+        code = main([command, *paths, *flags])
     for w in caught:
         err.write(f"{w.category.__name__}: {w.message}\n")
     return code, out.getvalue(), err.getvalue()
@@ -396,11 +412,20 @@ def run_corpus() -> dict[str, dict]:
         os.chdir(tmp)
         try:
             for name, command, scenario, flags in corpus():
-                path = f"corpus/{name}.json"
-                text = scenario if isinstance(scenario, str) else json.dumps(scenario)
-                Path(path).write_text(text)
+                several = isinstance(scenario, tuple)
+                paths = ([f"corpus/{name}-{i}.json" for i in range(len(scenario))]
+                         if several else [f"corpus/{name}.json"])
+                for path, obj in zip(paths, scenario if several else [scenario]):
+                    Path(path).write_text(obj if isinstance(obj, str) else json.dumps(obj))
+                out_dir = Path("out", name)
+                if several:
+                    out_dir.mkdir(parents=True)
+                    flags = (*flags, "--out", str(out_dir))
                 digests[name] = dict(command=command, **digest(
-                    command, *run_case(path, command, flags)))
+                    command, *run_case(paths, command, flags)))
+                if several:  # each file written to DIR, by name
+                    digests[name]["files"] = {
+                        p.name: _sha(p.read_text()) for p in sorted(out_dir.iterdir())}
         finally:
             os.chdir(cwd)
     return digests
