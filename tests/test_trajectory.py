@@ -534,7 +534,7 @@ def membership_pointwise(cs, v, tol=MEMBERSHIP_TOL):
             np.where(np.isinf(up), math.inf, up - v),
         ])
         return _classify_pointwise(float(np.min(slacks)), tol)
-    norms = np.linalg.norm(cs.G, axis=1)
+    norms = np.array([math.hypot(*row) for row in cs.G])  # no square under- or overflows
     slacks = (cs.g - cs.G @ v) / norms
     return _classify_pointwise(float(np.min(slacks)), tol)
 
