@@ -57,9 +57,7 @@ from .trajectory import (
     TrajectoryTriple,
     boundary_residence,
     check_admissible,
-    compare_triples,
     interior_window,
-    lift_trajectory,
     margins,
     membership,
     simulate,

@@ -33,7 +33,6 @@ from .scenario import (
     ScenarioError,
     load_scenario,
     require_linear,
-    signal_to_obj,
     with_overrides,
 )
 from .trajectory import (
@@ -140,11 +139,13 @@ def _certificate_dict(cert: synthesis.IRCertificate) -> dict:
             "x_peak": cert.route.x_peak.tolist(),
             "t_mid": cert.route.t_mid,
         }
+    u_hat = cert.u_hat
     return {
         "window": list(cert.window),
         "alpha": cert.alpha,
         "route": route,
-        "u_hat": signal_to_obj(cert.u_hat),
+        "u_hat": {"t0": u_hat.t0, "dt": u_hat.dt, "interpolation": u_hat.interpolation.value,
+                  "values": u_hat.values.tolist()},
         "verification": {
             "y_sup_diff": cert.verification.y_sup_diff,
             "admissible_both": cert.verification.admissible_both,

@@ -337,9 +337,9 @@ class RationalMatrix:
 class Subspace:
     """Linear subspace of R^k with a canonical reduced-column-echelon basis.
 
-    Instances must be built through :meth:`from_columns`, :meth:`zero` or
-    :meth:`full` (or the module-level operations), which canonicalize the
-    basis.  Canonical form is unique per subspace, so dataclass equality is
+    Instances must be built through `image`, :meth:`zero`, :meth:`full` or
+    :meth:`from_vectors` (or the other module-level operations), which
+    canonicalize the basis.  Canonical form is unique per subspace, so dataclass equality is
     subspace equality.
     """
 
@@ -359,11 +359,6 @@ class Subspace:
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, RationalMatrix.identity(ambient_dim))
-
-    @classmethod
-    def from_columns(cls, mat: RationalMatrix) -> "Subspace":
-        """Span of the columns of `mat`, canonicalized."""
-        return image(mat)
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[VectorLike]) -> "Subspace":

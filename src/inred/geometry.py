@@ -7,8 +7,8 @@ feedbacks), the reduction of a linearly constrained system to an equivalent
 unconstrained one, and bases adapted to the subspace chain.
 
 Everything here is exact: the module imports only the standard library and
-`exact`.  The floating-point constructions built on these objects (the
-Gramian transfer, lifting reduced trajectories) live in `trajectory`.
+`exact`.  The floating-point construction built on these objects (the
+Gramian transfer) lives in `trajectory`.
 """
 
 from __future__ import annotations
@@ -327,37 +327,31 @@ def reduce_system(sys: SystemQuadruple, u_set: Subspace, x_set: Subspace,
 
 @dataclass(frozen=True)
 class AdaptedBasis:
-    """State basis adapted to the chain R(sys) <= V(sys) <= R^n.
+    """The controllable part of a closed loop, in a basis of R(sys).
 
-    Columns of Ta span the controllable weakly unobservable subspace, those
-    of [Ta Tb] the weakly unobservable one, and [Ta Tb Tc] is invertible.
-    (A11, B1) are the controllable top-left blocks of the transformed
-    closed-loop pair; F and L are the feedback and input reparametrization
-    realizing the transformation.
+    Columns of Ta span the controllable weakly unobservable subspace R.
+    (A11, B1) are the controllable top-left blocks of the closed-loop pair
+    in a basis that starts with Ta: (A + BF) Ta = Ta A11 and B L = Ta B1.
+    F and L are the output-nulling feedback and input reparametrization.
     """
 
     Ta: RationalMatrix
-    Tb: RationalMatrix
-    Tc: RationalMatrix
     A11: RationalMatrix
     B1: RationalMatrix
     F: RationalMatrix
     L: RationalMatrix
 
-    @property
-    def transform(self) -> RationalMatrix:
-        return RationalMatrix.hstack(self.Ta, self.Tb, self.Tc)
-
 
 def adapted_basis(sys: SystemQuadruple) -> AdaptedBasis:
-    """Build the adapted basis and the controllable blocks (A11, B1).
+    """Build the basis Ta of R and the controllable blocks (A11, B1).
 
     A11 is A + BF restricted to R, and B1 holds the coordinates of B L in
-    Ta.  They are the top-left blocks of the closed loop in the basis
-    [Ta Tb Tc], where the dynamics is block upper triangular, the input
-    enters only the first block and the output reads only the last.  What
-    these zero patterns rest on is checked exactly: R and V are invariant
-    under A + BF, B L lies in R, and (C + DF) V = 0 and D L = 0.
+    Ta.  They are the top-left blocks of the closed loop in any basis
+    [Ta Tb Tc] with [Ta Tb] a basis of V, where the dynamics is block upper
+    triangular, the input enters only the first block and the output reads
+    only the last.  What these zero patterns rest on is checked exactly: R
+    and V are invariant under A + BF, B L lies in R, and (C + DF) V = 0 and
+    D L = 0.
     """
     on = output_nulling(sys)
     F, L = on.F, on.N.basis
@@ -370,9 +364,4 @@ def adapted_basis(sys: SystemQuadruple) -> AdaptedBasis:
     if (B1 is None or not ((sys.C + sys.D @ F) @ on.V.basis).is_zero()
             or not (sys.D @ L).is_zero()):
         raise AssertionError("adapted basis lost its structural zero pattern")
-    extra = complete_basis(Ta, [on.V.basis, RationalMatrix.identity(sys.n)])
-    rb = on.V.dim - on.R.dim
-    return AdaptedBasis(
-        Ta=Ta, Tb=extra.block(0, sys.n, 0, rb), Tc=extra.block(0, sys.n, rb, extra.cols),
-        A11=A11, B1=B1, F=F, L=L,
-    )
+    return AdaptedBasis(Ta=Ta, A11=A11, B1=B1, F=F, L=L)

@@ -292,89 +292,3 @@ def require_linear(cs: ConstraintSet) -> Subspace:
         f"{type(cs).__name__} constraints are not linear subspaces; "
         "use the trajectory/certification commands instead"
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization back to JSON (round-trip support)
-
-
-def _num(x: float) -> Any:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
-
-
-def _constraint_to_obj(cs: ConstraintSet) -> dict:
-    if isinstance(cs, FullSpace):
-        return {"type": "full"}
-    if isinstance(cs, LinearSubspaceSet):
-        basis = cs.space.basis
-        return {
-            "type": "subspace",
-            "span": [[str(x) for x in basis.col(j)] for j in range(basis.cols)],
-        }
-    if isinstance(cs, Box):
-        return {
-            "type": "box",
-            "lower": [_num(v) for v in cs.lower],
-            "upper": [_num(v) for v in cs.upper],
-            "strict": cs.strict,
-        }
-    return {
-        "type": "polyhedron",
-        "G": cs.G.tolist(),
-        "g": cs.g.tolist(),
-        "strict": cs.strict,
-    }
-
-
-def signal_to_obj(sig: SampledSignal) -> dict:
-    return {
-        "t0": sig.t0,
-        "dt": sig.dt,
-        "interpolation": sig.interpolation.value,
-        "values": sig.values.tolist(),
-    }
-
-
-def dump_scenario(scenario: Scenario) -> dict:
-    """Scenario as a JSON-serializable dict that reparses to the same data."""
-    out: dict[str, Any] = {
-        "system": {
-            "A": scenario.system.A.to_strings(),
-            "B": scenario.system.B.to_strings(),
-            "C": scenario.system.C.to_strings(),
-            "D": scenario.system.D.to_strings(),
-        },
-        "constraints": {
-            "u": _constraint_to_obj(scenario.u_constraint),
-            "x": _constraint_to_obj(scenario.x_constraint),
-        },
-    }
-    scen: dict[str, Any] = {}
-    if scenario.x0 is not None:
-        scen["x0"] = scenario.x0.tolist()
-    if scenario.grid is not None:
-        scen["grid"] = {
-            "t0": scenario.grid.t0,
-            "dt": scenario.grid.dt,
-            "horizon": scenario.grid.horizon,
-        }
-    if scenario.signals:
-        scen["signals"] = {name: signal_to_obj(sig) for name, sig in scenario.signals.items()}
-    if scenario.nominal is not None:
-        scen["nominal"] = scenario.nominal
-    if scenario.input_name is not None:
-        scen["input"] = scenario.input_name
-    if scenario.window is not None:
-        scen["window"] = list(scenario.window)
-    if scenario.pinned is not None:
-        pin = {}
-        for name in ("R", "F", "L"):
-            mat = getattr(scenario.pinned, name)
-            if mat is not None:
-                pin[name] = mat.to_strings()
-        scen["pinned"] = pin
-    if scen:
-        out["scenario"] = scen
-    return out

@@ -4,9 +4,9 @@ This is the floating-point side of the package: sampled signals on uniform
 grids, exact-per-step discretization of the LTI dynamics through augmented
 matrix exponentials (each built by `_upper_expm`), the minimum-energy
 (Gramian) transfer, whose state phi and costate v are chained by the
-simulator's blocked recurrence, the lift of reduced-system trajectories,
-and the sampled checks used by the certification layer (interiority
-windows, boundary residence, signal comparison).
+simulator's blocked recurrence, and the sampled checks used by the
+certification layer (admissibility, interiority windows, boundary
+residence).
 
 The discretization is exact for inputs representable by their declared
 interpolation rule, so halving the step changes trajectories only at the
@@ -32,7 +32,7 @@ import numpy as np
 from .exact import DimensionMismatch, Subspace
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .geometry import ReducedSystem, SystemQuadruple
+    from .geometry import SystemQuadruple
 
 #: default absolute tolerance for membership classification
 MEMBERSHIP_TOL = 1e-9
@@ -473,29 +473,6 @@ def simulate(sys: "SystemQuadruple", x0: Sequence[float], u: SampledSignal) -> T
     return TrajectoryTriple(u=u, x=xs, y=ys, x0=x0)
 
 
-def lift_trajectory(bundle: "ReducedSystem", eta0: Sequence[float],
-                    w: SampledSignal, eta: SampledSignal, phi: SampledSignal) -> TrajectoryTriple:
-    """Map a reduced-system trajectory (w, eta, phi) to a constrained-system one.
-
-    The embedding (w, eta, phi) -> (R L w + R F T eta, T eta, phi) is linear
-    and injective, so distinct reduced trajectories lift to distinct
-    constrained ones.
-    """
-    if not (w.same_grid(eta) and w.same_grid(phi)):
-        raise GridMismatch("w, eta, phi must share one grid")
-    eta0 = np.asarray(eta0, dtype=float).reshape(-1)
-    if not np.allclose(eta.values[0], eta0, atol=1e-9):
-        raise ValueError("eta does not start at eta0")
-    RL = (bundle.R @ bundle.L).to_float()
-    RFT = (bundle.R @ bundle.F @ bundle.T).to_float()
-    Tf = bundle.T.to_float()
-    u_vals = w.values @ RL.T + eta.values @ RFT.T
-    x_vals = eta.values @ Tf.T
-    u = SampledSignal(w.t0, w.dt, u_vals, w.interpolation)
-    x = SampledSignal(w.t0, w.dt, x_vals, Interpolation.PIECEWISE_LINEAR)
-    return TrajectoryTriple(u=u, x=x, y=phi, x0=Tf @ eta0)
-
-
 # ---------------------------------------------------------------------------
 # Gramian transfers
 
@@ -635,31 +612,3 @@ def _on_boundary(cs: ConstraintSet, values: np.ndarray, tol: float) -> np.ndarra
     if is_strict(cs):
         return np.zeros(values.shape[0], dtype=bool)
     return np.abs(margins(cs, values)) <= tol
-
-
-@dataclass(frozen=True)
-class TripleComparison:
-    u_equal: bool
-    x_equal: bool
-    y_equal: bool
-
-
-def _signals_equal(a: SampledSignal, b: SampledSignal, tol: float) -> bool:
-    sup_diff = float(np.max(np.abs(a.values - b.values))) if a.values.size else 0.0
-    scale = max(
-        float(np.max(np.abs(a.values))) if a.values.size else 0.0,
-        float(np.max(np.abs(b.values))) if b.values.size else 0.0,
-    )
-    return sup_diff <= tol * (1.0 + scale)
-
-
-def compare_triples(a: TrajectoryTriple, b: TrajectoryTriple,
-                    tol: float = SIGNAL_TOL) -> TripleComparison:
-    """Grid sup-norm equality of the three signal pairs, relative tolerance."""
-    if not a.u.same_grid(b.u):
-        raise GridMismatch("triples live on different grids")
-    return TripleComparison(
-        u_equal=_signals_equal(a.u, b.u, tol),
-        x_equal=_signals_equal(a.x, b.x, tol),
-        y_equal=_signals_equal(a.y, b.y, tol),
-    )

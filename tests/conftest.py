@@ -10,7 +10,7 @@ import pytest
 
 from inred.exact import RationalMatrix, Subspace, kernel
 from inred.geometry import SystemQuadruple
-from inred.trajectory import Box, FullSpace, Grid, SampledSignal
+from inred.trajectory import SIGNAL_TOL, Box, FullSpace, Grid, SampledSignal
 
 
 @pytest.fixture
@@ -135,3 +135,9 @@ def random_system(rng: random.Random, n_max: int = 5, m_max: int = 4,
 def constant_signal(grid: Grid, vec) -> SampledSignal:
     vals = np.tile(np.asarray(vec, dtype=float), (grid.n, 1))
     return SampledSignal(grid.t0, grid.dt, vals)
+
+
+def signals_equal(a: SampledSignal, b: SampledSignal, tol: float = SIGNAL_TOL) -> bool:
+    """Grid sup-norm equality of two signals, relative to the larger of them."""
+    scale = max(float(np.max(np.abs(a.values))), float(np.max(np.abs(b.values))))
+    return float(np.max(np.abs(a.values - b.values))) <= tol * (1.0 + scale)

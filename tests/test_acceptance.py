@@ -36,11 +36,11 @@ from inred.trajectory import (
     SampledSignal,
     boundary_residence,
     check_admissible,
-    compare_triples,
     simulate,
 )
 
-from conftest import random_invertible, random_matrix, random_subspace, random_system
+from conftest import (random_invertible, random_matrix, random_subspace, random_system,
+                      signals_equal)
 
 
 @contextmanager
@@ -170,7 +170,7 @@ def test_criterion_6_witness_suite(witness_example):
         assert float(np.max(np.abs(t4.x.values - t5.x.values))) <= 1e-6
         assert float(np.max(np.abs(t4.x.values - t6.x.values))) > 1e-3
         for a, b in ((t4, t5), (t4, t6), (t5, t6)):
-            assert not compare_triples(a, b).u_equal
+            assert not signals_equal(a.u, b.u)
 
 
 def test_criterion_7_randomized_property_suite():

@@ -23,7 +23,7 @@ import inred.cli
 import inred.trajectory
 from inred.cli import main
 from inred.exact import Subspace
-from inred.scenario import MAX_GRID_NODES, dump_scenario, load_scenario
+from inred.scenario import MAX_GRID_NODES, load_scenario
 from inred.trajectory import SIGNAL_TOL
 
 from test_trajectory import simulate_arrays_stepwise
@@ -924,22 +924,7 @@ def test_schemas_are_valid_and_describe_a_certify_failure(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# round trips and multi-file runs
-
-
-def test_scenario_round_trip(tmp_path):
-    files = {
-        "four_input.json": four_input_scenario(),
-        "buck.json": buck_certify_scenario(ramp_values(dt=0.01, horizon=1.0).tolist(),
-                                           [0.1, 0.2, 0.3]),
-    }
-    for name, obj in files.items():
-        path = write(tmp_path, name, obj)
-        first = dump_scenario(load_scenario(path))
-        second_path = tmp_path / ("rt_" + name)
-        second_path.write_text(json.dumps(first))
-        second = dump_scenario(load_scenario(str(second_path)))
-        assert first == second
+# multi-file runs
 
 
 def test_multi_file_analyze_with_jobs(tmp_path):

@@ -31,13 +31,14 @@ from inred.trajectory import (
     _step_matrices,
     boundary_residence,
     check_admissible,
-    compare_triples,
     interior_window,
     is_strict,
     margins,
     membership,
     simulate,
 )
+
+from conftest import signals_equal
 
 
 def span_set(ambient, *vectors):
@@ -416,7 +417,7 @@ def test_window_excludes_boundary_residence_on_random_triples(buck):
 
 
 # ---------------------------------------------------------------------------
-# triple comparison
+# triples that share one output
 
 
 def test_compare_matching_outputs_distinct_inputs(boundary_example):
@@ -427,14 +428,8 @@ def test_compare_matching_outputs_distinct_inputs(boundary_example):
     u3 = SampledSignal(0, 1e-3, np.column_stack([np.exp(-3 * ts), np.exp(-3 * ts)]))
     t2 = simulate(sys, [-1.0], u2)
     t3 = simulate(sys, [-1.0], u3)
-    cmp = compare_triples(t2, t3)
-    assert not cmp.u_equal and not cmp.x_equal and cmp.y_equal
-
-
-def test_compare_triple_with_itself(buck):
-    _, _, _, triple = make_ramp_triple(buck)
-    cmp = compare_triples(triple, triple)
-    assert cmp.u_equal and cmp.x_equal and cmp.y_equal
+    assert not signals_equal(t2.u, t3.u) and not signals_equal(t2.x, t3.x)
+    assert signals_equal(t2.y, t3.y)
 
 
 def test_witness_suite_relations(witness_example):
@@ -455,11 +450,11 @@ def test_witness_suite_relations(witness_example):
     for t in (t4, t5, t6):
         assert check_admissible(t, u_set, x_set).ok
         assert np.max(np.abs(t.y.values)) <= 1e-6
-    c45 = compare_triples(t4, t5)
-    c46 = compare_triples(t4, t6)
-    assert (not c45.u_equal) and c45.x_equal and c45.y_equal
-    assert (not c46.u_equal) and (not c46.x_equal) and c46.y_equal
-    assert not compare_triples(t5, t6).u_equal
+    assert not signals_equal(t4.u, t5.u) and signals_equal(t4.x, t5.x)
+    assert signals_equal(t4.y, t5.y)
+    assert not signals_equal(t4.u, t6.u) and not signals_equal(t4.x, t6.x)
+    assert signals_equal(t4.y, t6.y)
+    assert not signals_equal(t5.u, t6.u)
 
 
 # ---------------------------------------------------------------------------
