@@ -223,8 +223,15 @@ def synthesize_increment(sys: SystemQuadruple, window: tuple[float, float],
 
 
 def _peak(increment: SampledSignal) -> float:
-    """Largest node norm of an increment; ZeroMargin when it is not finite."""
-    peak = float(np.max(np.linalg.norm(increment.values, axis=1)))
+    """Largest node norm of an increment; ZeroMargin when it is not finite.
+
+    Each node is scaled by the power of two of its largest magnitude first,
+    so that no square overflows; the scaling is exact, so a norm that would
+    not overflow comes out bit for bit the same.
+    """
+    V = increment.values
+    _, e = np.frexp(np.max(np.abs(V), axis=1))  # 0 for a zero or non-finite node
+    peak = float(np.max(np.ldexp(np.linalg.norm(np.ldexp(V, -e[:, None]), axis=1), e)))
     if not math.isfinite(peak):
         raise ZeroMargin("increment peak is not finite")
     return peak

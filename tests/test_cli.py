@@ -523,6 +523,29 @@ def test_polyhedron_row_of_large_scale_keeps_its_margins(tmp_path, capsys, obj, 
             "error": f"nominal trajectory leaves the constraints at t = {first_violation}"}
 
 
+def test_certify_scales_a_kernel_direction_beyond_the_square_range(tmp_path, capsys):
+    """ker [B; D] is spanned by (1, -1e200): the increment is finite, but the
+    square of its entry overflows, which read as a peak that is not finite."""
+    obj = {
+        "system": {"A": [[-1]], "B": [[1, "1e-200"]], "C": [[1]], "D": [[0, 0]]},
+        "constraints": {"u": {"type": "box", "lower": [-1, -1], "upper": [1, 1]},
+                        "x": {"type": "full"}},
+        "scenario": {"x0": [0.0], "signals": {"z": signal_obj(np.zeros((11, 2)), dt=0.01)}},
+    }
+    path = write(tmp_path, "huge-direction.json", obj)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["certify", path]) == 0
+    assert [str(w.message) for w in caught] == []
+    out, err = capsys.readouterr()
+    assert err == ""
+    cert = json.loads(out)
+    assert cert["route"] == {"type": "kernel_bump"} and cert["window"] == [0.0, 0.1]
+    assert cert["alpha"] == pytest.approx(9e-201)
+    assert cert["verification"]["admissible_both"] is True
+    assert cert["verification"]["y_sup_diff"] < 1e-200
+
+
 @pytest.mark.parametrize("block", [
     {"scenario": {"signals": [1, 2]}},
     {"scenario": {"grid": 3}},

@@ -186,6 +186,15 @@ def test_scaling_of_a_non_finite_increment_is_rejected(bad):
         compute_scaling(0.5, 0.5, SampledSignal(0, 0.1, np.ones((3, 1))), u_hat, rho=0)
 
 
+def test_scaling_of_a_finite_increment_beyond_the_square_range():
+    # every entry of 1e200 has a square of inf; the norms themselves are finite
+    u_hat = SampledSignal(0, 0.1, np.array([[0.0, 0.0], [1.0, -1e200], [0.0, 0.0]]))
+    assert compute_scaling(1.0, None, u_hat, None, rho=1) == pytest.approx(0.9e-200)
+    x_hat = SampledSignal(0, 0.1, np.full((3, 2), 1e200))
+    alpha = compute_scaling(1.0, 1.0, SampledSignal(0, 0.1, np.ones((3, 1))), x_hat, rho=0)
+    assert alpha == pytest.approx(0.9e-200 / math.sqrt(2))
+
+
 def test_scaling_that_underflows_is_rejected():
     u_hat = SampledSignal(0, 0.1, np.full((11, 1), 1e10))
     with pytest.raises(ZeroMargin):
