@@ -211,11 +211,14 @@ def synthesize_increment(sys: SystemQuadruple, window: tuple[float, float],
     """The unscaled increment for a window, its state and its route.
 
     The kernel bump when ker B n ker D is nonzero (rho > 0); its state never
-    moves, so it comes back as None.  Otherwise the state loop, whose route
-    records the state and time at the loop's midpoint node.
+    moves, so it comes back as None.  Otherwise (the bump raises RhoZero
+    from its one elimination of [B; D]) the state loop, whose route records
+    the state and time at the loop's midpoint node.
     """
-    if joint_kernel_dim(sys.B, sys.D) > 0:
+    try:
         return synthesize_kernel_bump(sys.B, sys.D, window, grid), None, KernelBump()
+    except RhoZero:
+        pass
     u_hat, x_hat = synthesize_state_loop(sys, window, grid)
     _, imid, _ = _loop_nodes(window, grid)
     return u_hat, x_hat, StateLoop(x_peak=x_hat.values[imid].copy(),

@@ -22,6 +22,7 @@ from inred.synthesis import (
     ZeroMargin,
     certify_ir_pair,
     compute_scaling,
+    synthesize_increment,
     synthesize_kernel_bump,
     synthesize_state_loop,
     verify_increment,
@@ -119,6 +120,31 @@ def test_state_loop_requires_nontrivial_subspace(integrator):
     grid = Grid.from_horizon(0.0, 1e-3, 2.0)
     with pytest.raises(RZero):
         synthesize_state_loop(integrator, (0.0, 1.0), grid)
+
+
+@pytest.mark.parametrize("fixture, error", [
+    ("four_input_system", EmptyWindow),  # rho > 0: the bump checks the window
+    ("integrator", RZero),               # rho = 0 and R = 0: before the window
+    ("buck", EmptyWindow),               # rho = 0 and R != 0
+])
+def test_increment_failures_keep_their_order(request, fixture, error):
+    sys = request.getfixturevalue(fixture)
+    sys = sys[0] if isinstance(sys, tuple) else sys
+    with pytest.raises(error):
+        synthesize_increment(sys, (0.5, 0.5), Grid.from_horizon(0.0, 1e-3, 2.0))
+
+
+def test_increment_eliminates_b_d_once(monkeypatch, four_input_system):
+    import inred.analysis
+    import inred.synthesis
+
+    calls = []
+    for module in (inred.analysis, inred.synthesis):
+        monkeypatch.setattr(module, "kernel", lambda M: calls.append(M) or kernel(M))
+    _, x_hat, route = synthesize_increment(four_input_system, (0.2, 1.2),
+                                           Grid.from_horizon(0.0, 1e-3, 2.0))
+    assert x_hat is None and route == KernelBump()
+    assert calls == [RationalMatrix.vstack(four_input_system.B, four_input_system.D)]
 
 
 def test_state_loop_closure_random_systems():
