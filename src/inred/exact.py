@@ -337,10 +337,10 @@ class RationalMatrix:
 class Subspace:
     """Linear subspace of R^k with a canonical reduced-column-echelon basis.
 
-    Instances must be built through `image`, :meth:`zero`, :meth:`full` or
-    :meth:`from_vectors` (or the other module-level operations), which
-    canonicalize the basis.  Canonical form is unique per subspace, so dataclass equality is
-    subspace equality.
+    Instances must be built through :meth:`zero`, :meth:`full`,
+    :meth:`from_vectors` or the module-level operations (such as
+    :func:`image`), which canonicalize the basis.  Canonical form is unique
+    per subspace, so dataclass equality is subspace equality.
     """
 
     ambient_dim: int

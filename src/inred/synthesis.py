@@ -233,7 +233,7 @@ def _peak(increment: SampledSignal) -> float:
     not overflow comes out bit for bit the same.
     """
     V = increment.values
-    _, e = np.frexp(np.max(np.abs(V), axis=1))  # 0 for a zero or non-finite node
+    _, e = np.frexp(np.max(np.abs(V), axis=1, initial=0.0))  # 0 for a zero or non-finite node
     peak = float(np.max(np.ldexp(np.linalg.norm(np.ldexp(V, -e[:, None]), axis=1), e)))
     if not math.isfinite(peak):
         raise ZeroMargin("increment peak is not finite")
