@@ -26,10 +26,13 @@ the SHA-256 of each file written there.  A Python warning raised during a
 run is appended to its stderr as "Category: message", without its source
 location.
 
-    python tests/golden/regen.py          # rewrite digests.json
+    python tests/golden/regen.py          # write the moved and new digests
     python tests/golden/regen.py --check  # compare; exit 1 on a difference
 
-A change that moves outputs on purpose regenerates the file and names the
+Write mode keeps every stored entry that `differences` accepts verbatim,
+so the last bits of unrelated float summaries do not drift; it writes the
+entries that moved or are new and drops those no longer in the corpus.  A
+change that moves outputs on purpose regenerates the file and names the
 moved digests and the reason in CHANGES.md.
 """
 
@@ -236,6 +239,12 @@ def _diverging(a) -> dict:
                          np.zeros((101, 2)), dt=0.01)
 
 
+def _empty_box() -> dict:
+    return _with_nominal({"A": [[-1]], "B": [[1, 1]], "C": [[1]], "D": [[0, 0]]},
+                         _box(["inf", 0], [None, 1]), _box([None], ["-inf"]), [0.5],
+                         [[0.0, 0.5]] * 5, dt=0.01)
+
+
 def _witness(k: int) -> dict:
     """The two-state witness example under the inputs u4, u5 and u6."""
     ts = _times(1e-3, 3.0)
@@ -286,6 +295,8 @@ def trajectory_cases() -> Iterator[tuple[str, str, dict, tuple[str, ...]]]:
     yield "certify-loop-verification-fails", "certify", _with_nominal(
         {"A": [[1, -1], [-1, 2]], "B": [[1, 0], [-2, -2]], "C": [[0, 1]], "D": [[0, -1]]},
         {"type": "full"}, {"type": "full"}, [0.0, 0.0], np.zeros((101, 2)), dt=0.01), ()
+    # U and X are empty: a lower bound of +inf and an upper bound of -inf
+    yield "certify-empty-box", "certify", _empty_box(), ()
     yield "certify-integrator-no-loop", "certify", _with_nominal(
         {"A": [[0]], "B": [[1]], "C": [[1]], "D": [[0]]}, _box([-1], [1]), {"type": "full"},
         [0.0], np.zeros((2001, 1))), ()
@@ -294,6 +305,7 @@ def trajectory_cases() -> Iterator[tuple[str, str, dict, tuple[str, ...]]]:
     yield "simulate-boundary-rider", "simulate", _boundary_rider(), ()
     yield "simulate-diverging-800", "simulate", _diverging(800), ()
     yield "simulate-diverging-1e30", "simulate", _diverging(1e30), ()
+    yield "simulate-empty-box", "simulate", _empty_box(), ()
     for k in (4, 5, 6):
         yield f"simulate-witness-u{k}", "simulate", _witness(k), ()
     yield "synthesize-four-input-bump", "synthesize", _synthesize(FOUR_INPUT, [0.2, 1.2]), ()
@@ -464,6 +476,14 @@ def load_digests() -> dict[str, dict]:
     return json.loads(DIGESTS.read_text())
 
 
+def merged(stored: dict[str, dict], actual: dict[str, dict]) -> dict[str, dict]:
+    """The digests to write: the stored entry of each case that did not move,
+    the run's entry of each case that moved or is new."""
+    return {name: stored[name] if name in stored
+            and not differences({name: stored[name]}, {name: entry}) else entry
+            for name, entry in actual.items()}
+
+
 def _main(argv: list[str]) -> int:
     actual = run_corpus()
     if argv == ["--check"]:
@@ -473,8 +493,11 @@ def _main(argv: list[str]) -> int:
     if argv:
         print("usage: regen.py [--check]", file=sys.stderr)
         return 2
-    DIGESTS.write_text(json.dumps(actual, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(actual)} digests to {DIGESTS.name}")
+    stored = load_digests() if DIGESTS.exists() else {}
+    digests = merged(stored, actual)
+    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    kept = sum(digests[name] is stored.get(name) for name in digests)
+    print(f"wrote {len(digests)} digests to {DIGESTS.name}, {kept} kept as stored")
     return 0
 
 

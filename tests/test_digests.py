@@ -34,3 +34,21 @@ def test_differences_tolerate_rounding_but_not_a_moved_node():
     scaled = copy.deepcopy(digests)
     scaled[name]["approx"]["alpha"][0] *= 1 + 1e-5
     assert regen.differences(digests, scaled) == [f"{name}: approx moved"]
+
+
+def test_a_rewrite_keeps_the_stored_entries_that_did_not_move():
+    digests = regen.load_digests()
+    name = "certify-buck-loop"
+    noisy = copy.deepcopy(digests)
+    noisy[name]["approx"]["alpha"][0] *= 1 + 1e-12
+    kept = regen.merged(digests, noisy)
+    assert kept == digests and kept[name] is digests[name]
+
+    moved = copy.deepcopy(noisy)
+    moved[name]["window"][1] -= 1e-3
+    moved["a-new-case"] = moved.pop("certify-escape")
+    written = regen.merged(digests, moved)
+    assert written[name] is moved[name] and written["a-new-case"] is moved["a-new-case"]
+    assert "certify-escape" not in written
+    assert all(written[other] is digests[other]
+               for other in written.keys() - {name, "a-new-case"})
