@@ -43,12 +43,9 @@ from .analysis import (
     report_to_text,
 )
 from .trajectory import (
-    Box,
     ConstraintSet,
-    FullSpace,
     Grid,
     Interpolation,
-    LinearSubspaceSet,
     Membership,
     Polyhedron,
     SampledSignal,

@@ -24,16 +24,7 @@ import numpy as np
 
 from .exact import DimensionMismatch, RationalMatrix, Subspace, as_fraction, image
 from .geometry import PinnedBases, SystemQuadruple
-from .trajectory import (
-    Box,
-    ConstraintSet,
-    FullSpace,
-    Grid,
-    Interpolation,
-    LinearSubspaceSet,
-    Polyhedron,
-    SampledSignal,
-)
+from .trajectory import ConstraintSet, Grid, Interpolation, Polyhedron, SampledSignal
 
 
 MAX_EXPONENT = 10_000  # largest |e| of a rational literal written as digits x 10^e
@@ -165,7 +156,7 @@ def _optional(obj: dict, key: str, path: str, kind: type, default: Any) -> Any:
 
 def _checked(make: Callable[..., Any], path: str, *args: Any, **kwargs: Any) -> Any:
     """make(*args, **kwargs), a ValueError but DimensionMismatch raised as a ScenarioError
-    at path: the constructors of Grid, SampledSignal, Box and Polyhedron check their input."""
+    at path: Grid, SampledSignal, Polyhedron and Polyhedron.box check their input."""
     try:
         return make(*args, **kwargs)
     except DimensionMismatch:
@@ -176,21 +167,22 @@ def _checked(make: Callable[..., Any], path: str, *args: Any, **kwargs: Any) -> 
 
 def _constraint(obj: Any, dim: int, path: str) -> ConstraintSet:
     if obj is None:
-        return FullSpace(dim)
+        return Subspace.full(dim)
     kind = _field(_object(obj, path), "type", path)
     if kind == "full":
-        return FullSpace(dim)
+        return Subspace.full(dim)
     if kind == "subspace":
         span = _rational_matrix(obj.get("span", []), f"{path}.span")  # one vector per row
         if span.rows and span.cols != dim:
             raise DimensionMismatch("spanning vector of wrong length")
-        return LinearSubspaceSet(image(span.transpose()) if span.rows else Subspace.zero(dim))
+        return image(span.transpose()) if span.rows else Subspace.zero(dim)
     if kind == "box":
         lower, upper = (_floats(_field(obj, key, path), f"{path}.{key}", null=unbounded)
                         for key, unbounded in (("lower", -math.inf), ("upper", math.inf)))
         if len(lower) != dim or len(upper) != dim:
             raise DimensionMismatch(f"{path}: box bounds must have length {dim}")
-        return _checked(Box, path, lower, upper, _optional(obj, "strict", path, bool, False))
+        return _checked(Polyhedron.box, path, lower, upper,
+                        _optional(obj, "strict", path, bool, False))
     if kind == "polyhedron":
         G = _floats(_field(obj, "G", path), f"{path}.G", rows=True)
         g = _floats(_field(obj, "g", path), f"{path}.g")
@@ -284,10 +276,8 @@ def with_overrides(scenario: Scenario, x0: Optional[str] = None,
 
 def require_linear(cs: ConstraintSet) -> Subspace:
     """Constraint set as a subspace, or NonLinearConstraints."""
-    if isinstance(cs, FullSpace):
-        return Subspace.full(cs.dim)
-    if isinstance(cs, LinearSubspaceSet):
-        return cs.space
+    if isinstance(cs, Subspace):
+        return cs
     raise NonLinearConstraints(
         f"{type(cs).__name__} constraints are not linear subspaces; "
         "use the trajectory/certification commands instead"

@@ -1,5 +1,11 @@
 """Constraint-set geometry and finite-horizon trajectory machinery.
 
+A constraint set is one of two types.  A `Subspace` is a linear set, the
+whole space (`Subspace.full`) among them, which is the form the exact
+classification reads.  A `Polyhedron` is a set of rows G x <= g; a box is
+one, built by `Polyhedron.box` with one row per finite bound.  `margins`
+gives one distance-like margin per point for either type.
+
 This is the floating-point side of the package: sampled signals on uniform
 grids, exact-per-step discretization of the LTI dynamics through augmented
 matrix exponentials (each built by `_upper_expm`), the minimum-energy
@@ -34,7 +40,7 @@ from .exact import DimensionMismatch, Subspace
 if TYPE_CHECKING:  # pragma: no cover
     from .geometry import SystemQuadruple
 
-#: default absolute tolerance for membership classification
+#: absolute tolerance of the membership classification and the sampled checks
 MEMBERSHIP_TOL = 1e-9
 #: default relative tolerance for signal equality
 SIGNAL_TOL = 1e-6
@@ -181,47 +187,6 @@ class TrajectoryTriple:
 # constraint sets
 
 
-@dataclass(frozen=True)
-class FullSpace:
-    """The whole ambient space; everything is interior."""
-
-    dim: int
-
-
-@dataclass(frozen=True)
-class LinearSubspaceSet:
-    """A linear subspace used as constraint set.
-
-    A proper subspace has empty interior in the ambient space, so its members
-    are boundary points by definition.
-    """
-
-    space: Subspace
-
-
-@dataclass(frozen=True, eq=False)
-class Box:
-    """Axis-aligned box, possibly unbounded; `strict` marks the open variant."""
-
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-    strict: bool = False
-
-    def __post_init__(self) -> None:
-        lo = tuple(float(v) for v in self.lower)
-        up = tuple(float(v) for v in self.upper)
-        if len(lo) != len(up):
-            raise DimensionMismatch("box bounds have different lengths")
-        if any(l > u for l, u in zip(lo, up)):
-            raise ValueError("box lower bound exceeds upper bound")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
-
-    @property
-    def dim(self) -> int:
-        return len(self.lower)
-
-
 @dataclass(frozen=True, eq=False)
 class Polyhedron:
     """Points with G x <= g (strict: G x < g); margins divide by the row norms."""
@@ -250,20 +215,29 @@ class Polyhedron:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    @classmethod
+    def box(cls, lower: Sequence[float], upper: Sequence[float],
+            strict: bool = False) -> "Polyhedron":
+        """The box lower <= x <= upper: one row -e_i x <= -lower_i per finite
+        lower bound and one row e_i x <= upper_i per finite upper bound, so a
+        box with no finite bound has no row and is the whole space."""
+        lo = np.asarray(lower, dtype=float).reshape(-1)
+        up = np.asarray(upper, dtype=float).reshape(-1)
+        if lo.shape != up.shape:
+            raise DimensionMismatch("box bounds have different lengths")
+        if np.any(lo > up):
+            raise ValueError("box lower bound exceeds upper bound")
+        rows = np.eye(lo.shape[0])
+        has_lo, has_up = ~np.isinf(lo), ~np.isinf(up)
+        return cls(np.vstack([-rows[has_lo], rows[has_up]]),
+                   np.concatenate([-lo[has_lo], up[has_up]]), strict)
+
     @property
-    def dim(self) -> int:
+    def ambient_dim(self) -> int:
         return self.G.shape[1]
 
 
-ConstraintSet = Union[FullSpace, LinearSubspaceSet, Box, Polyhedron]
-
-
-def constraint_dim(cs: ConstraintSet) -> int:
-    if isinstance(cs, FullSpace):
-        return cs.dim
-    if isinstance(cs, LinearSubspaceSet):
-        return cs.space.ambient_dim
-    return cs.dim
+ConstraintSet = Union[Subspace, Polyhedron]
 
 
 def is_strict(cs: ConstraintSet) -> bool:
@@ -282,10 +256,10 @@ class Membership:
     margin: float
 
 
-def _classify(margin: float, tol: float) -> Membership:
-    if margin > tol:
+def _classify(margin: float) -> Membership:
+    if margin > MEMBERSHIP_TOL:
         return Membership(Status.INTERIOR, margin)
-    if margin < -tol:
+    if margin < -MEMBERSHIP_TOL:
         return Membership(Status.OUTSIDE, margin)
     return Membership(Status.BOUNDARY, 0.0)
 
@@ -294,48 +268,33 @@ def _classify(margin: float, tol: float) -> Membership:
 def margins(cs: ConstraintSet, values: np.ndarray) -> np.ndarray:
     """One distance-like margin per row of an (N, dim) array of points.
 
-    For boxes and polyhedra the margin is the least slack (infinite box
-    bounds are ignored, polyhedron rows are normalized); the whole space has
-    margin +inf, and a linear subspace has minus the distance to it, so its
-    members have margin 0 up to round-off.  A row with a non-finite
-    coordinate, or whose margin comes out NaN, has margin -inf: it is never
-    admissible.
+    For a polyhedron (a box among them) the margin is the least slack of
+    its normalized rows, +inf when it has no row.  The whole space has margin
+    +inf, and another subspace has minus the distance to it, so its members
+    have margin 0 up to round-off.  A row with a non-finite coordinate, or
+    whose margin comes out NaN, has margin -inf: it is never admissible.
     """
     V = np.asarray(values, dtype=float)
-    if V.ndim != 2 or V.shape[1] != constraint_dim(cs):
+    if V.ndim != 2 or V.shape[1] != cs.ambient_dim:
         raise DimensionMismatch("point dimension does not match constraint set")
     finite = np.isfinite(V).all(axis=1)
     if not finite.all():  # zeroed: lstsq rejects non-finite input
         V = np.where(finite[:, None], V, 0.0)
-    if isinstance(cs, FullSpace):
+    if isinstance(cs, Polyhedron):
+        m = np.min((cs.g - V @ cs.G.T) / cs.norms, axis=1, initial=math.inf)
+    elif cs.is_full():
         m = np.full(V.shape[0], math.inf)
-    elif isinstance(cs, LinearSubspaceSet):
-        space = cs.space
-        if space.is_full():
-            m = np.full(V.shape[0], math.inf)
-        elif space.is_zero():
-            m = -np.linalg.norm(V, axis=1)
-        else:
-            basis = space.to_float()
-            coeff, *_ = np.linalg.lstsq(basis, V.T, rcond=None)
-            m = -np.linalg.norm(V - (basis @ coeff).T, axis=1)
-    elif isinstance(cs, Box):
-        lo = np.asarray(cs.lower)
-        up = np.asarray(cs.upper)
-        slacks = np.concatenate([
-            np.where(np.isinf(lo), math.inf, V - lo),
-            np.where(np.isinf(up), math.inf, up - V),
-        ], axis=1)
-        m = np.min(slacks, axis=1)
-    elif isinstance(cs, Polyhedron):
-        m = np.min((cs.g - V @ cs.G.T) / cs.norms, axis=1)
+    elif cs.is_zero():
+        m = -np.linalg.norm(V, axis=1)
     else:
-        raise TypeError(f"unknown constraint set {type(cs).__name__}")
+        basis = cs.to_float()
+        coeff, *_ = np.linalg.lstsq(basis, V.T, rcond=None)
+        m = -np.linalg.norm(V - (basis @ coeff).T, axis=1)
     m[~finite | np.isnan(m)] = -math.inf
     return m
 
 
-def membership(cs: ConstraintSet, v: Sequence[float], tol: float = MEMBERSHIP_TOL) -> Membership:
+def membership(cs: ConstraintSet, v: Sequence[float]) -> Membership:
     """Classify a point against a constraint set by its `margins` value.
 
     Classification is against the closure, so `strict` sets report Boundary
@@ -344,12 +303,12 @@ def membership(cs: ConstraintSet, v: Sequence[float], tol: float = MEMBERSHIP_TO
     non-finite coordinate is Outside with margin -inf, whatever the set.
     """
     v = np.asarray(v, dtype=float).reshape(-1)
-    return _classify(float(margins(cs, v[None])[0]), tol)
+    return _classify(float(margins(cs, v[None])[0]))
 
 
-def _admitted(m: np.ndarray, strict: bool, tol: float) -> np.ndarray:
+def _admitted(m: np.ndarray, strict: bool) -> np.ndarray:
     """Nodes whose margin puts them in the set: interior, or boundary of a closed set."""
-    return m > tol if strict else m >= -tol
+    return m > MEMBERSHIP_TOL if strict else m >= -MEMBERSHIP_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -534,11 +493,11 @@ class AdmissibilityResult:
     first_violation: Optional[float]
 
 
-def check_admissible(triple: TrajectoryTriple, u_set: ConstraintSet, x_set: ConstraintSet,
-                     tol: float = MEMBERSHIP_TOL) -> AdmissibilityResult:
+def check_admissible(triple: TrajectoryTriple, u_set: ConstraintSet,
+                     x_set: ConstraintSet) -> AdmissibilityResult:
     """True when (u(t), x(t)) stays in U x X at every grid node."""
-    ok = (_admitted(margins(u_set, triple.u.values), is_strict(u_set), tol)
-          & _admitted(margins(x_set, triple.x.values), is_strict(x_set), tol))
+    ok = (_admitted(margins(u_set, triple.u.values), is_strict(u_set))
+          & _admitted(margins(x_set, triple.x.values), is_strict(x_set)))
     if ok.all():
         return AdmissibilityResult(True, None)
     return AdmissibilityResult(False, float(triple.u.times()[np.argmin(ok)]))
@@ -553,7 +512,7 @@ class InteriorWindow:
 
 
 def interior_window(triple: TrajectoryTriple, u_set: ConstraintSet, x_set: ConstraintSet,
-                    rho: int, tol: float = MEMBERSHIP_TOL) -> Optional[InteriorWindow]:
+                    rho: int) -> Optional[InteriorWindow]:
     """Widest grid-aligned open window where u is interior (and x, when rho = 0).
 
     Returns the window endpoints together with the minimum margins over its
@@ -563,10 +522,10 @@ def interior_window(triple: TrajectoryTriple, u_set: ConstraintSet, x_set: Const
     widest runs of interior nodes the first is taken.
     """
     mu = margins(u_set, triple.u.values)
-    ok = mu > tol
+    ok = mu > MEMBERSHIP_TOL
     if rho == 0:
         mx = margins(x_set, triple.x.values)
-        ok &= mx > tol
+        ok &= mx > MEMBERSHIP_TOL
     edges = np.diff(ok.astype(np.int8), prepend=0, append=0)
     starts = np.flatnonzero(edges == 1)
     if starts.size == 0:
@@ -586,29 +545,22 @@ def interior_window(triple: TrajectoryTriple, u_set: ConstraintSet, x_set: Const
 
 
 def boundary_residence(triple: TrajectoryTriple, u_set: ConstraintSet, x_set: ConstraintSet,
-                       rho: int, tol: float = MEMBERSHIP_TOL,
-                       breakpoints: Sequence[float] = ()) -> bool:
+                       rho: int) -> bool:
     """Necessary condition for an admissible pair not to be input redundant.
 
-    True when, at every node of the continuity set (the grid minus the
-    declared breakpoints of u), the input sits on the boundary of its set
+    True when, at every grid node, the input sits on the boundary of its set
     (for rho > 0), or the input or the state does (for rho = 0).  Points of a
     strict (open) set are never on the set's own frontier, so strict sets can
     never satisfy the test.
     """
-    times = triple.u.times()
-    half = 0.5 * triple.u.dt
-    kept = np.ones(times.shape[0], dtype=bool)
-    for b in breakpoints:
-        kept &= ~(np.abs(times - b) <= half)
-    on = _on_boundary(u_set, triple.u.values, tol)
+    on = _on_boundary(u_set, triple.u.values)
     if rho == 0:
-        on |= _on_boundary(x_set, triple.x.values, tol)
-    return bool(np.all(on[kept]))
+        on |= _on_boundary(x_set, triple.x.values)
+    return bool(np.all(on))
 
 
-def _on_boundary(cs: ConstraintSet, values: np.ndarray, tol: float) -> np.ndarray:
+def _on_boundary(cs: ConstraintSet, values: np.ndarray) -> np.ndarray:
     """Nodes on the frontier of a closed set; none for a strict one."""
     if is_strict(cs):
         return np.zeros(values.shape[0], dtype=bool)
-    return np.abs(margins(cs, values)) <= tol
+    return np.abs(margins(cs, values)) <= MEMBERSHIP_TOL

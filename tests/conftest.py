@@ -10,15 +10,15 @@ import pytest
 
 from inred.exact import RationalMatrix, Subspace, kernel
 from inred.geometry import SystemQuadruple
-from inred.trajectory import SIGNAL_TOL, Box, FullSpace, Grid, SampledSignal
+from inred.trajectory import SIGNAL_TOL, Grid, Polyhedron, SampledSignal
 
 
 @pytest.fixture
 def boundary_example():
     """Scalar system with nonnegative inputs: xdot = -x + [1 1]u, y = x + [1 0]u."""
     sys = SystemQuadruple.from_rows([[-1]], [[1, 1]], [[1]], [[1, 0]])
-    u_set = Box((0.0, 0.0), (math.inf, math.inf))
-    x_set = FullSpace(1)
+    u_set = Polyhedron.box((0.0, 0.0), (math.inf, math.inf))
+    x_set = Subspace.full(1)
     return sys, u_set, x_set
 
 
@@ -26,7 +26,7 @@ def boundary_example():
 def escape_example():
     """Unstable scalar with box constraints: xdot = x + u, U = X = [0, 1]."""
     sys = SystemQuadruple.from_rows([[1]], [[1]], [[1]], [[0]])
-    return sys, Box((0.0,), (1.0,)), Box((0.0,), (1.0,))
+    return sys, Polyhedron.box((0.0,), (1.0,)), Polyhedron.box((0.0,), (1.0,))
 
 
 @pytest.fixture
@@ -38,7 +38,7 @@ def buck():
         [[0, 0, 1]],
         [[0, 0]],
     )
-    return sys, Box((0.0, 0.0), (1.0, 1.0)), FullSpace(3)
+    return sys, Polyhedron.box((0.0, 0.0), (1.0, 1.0)), Subspace.full(3)
 
 
 @pytest.fixture
@@ -81,8 +81,8 @@ def witness_example():
         [[0, 1]],
         [[0, 0, 0]],
     )
-    u_set = Box((-1.0, -1.0, -1.0), (math.inf,) * 3)
-    x_set = Box((0.0, 0.0), (1.0, 2.0))
+    u_set = Polyhedron.box((-1.0, -1.0, -1.0), (math.inf,) * 3)
+    x_set = Polyhedron.box((0.0, 0.0), (1.0, 2.0))
     return sys, u_set, x_set
 
 

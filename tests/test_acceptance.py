@@ -30,8 +30,6 @@ from inred.synthesis import (
     verify_increment,
 )
 from inred.trajectory import (
-    Box,
-    FullSpace,
     Grid,
     SampledSignal,
     boundary_residence,

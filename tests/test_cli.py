@@ -246,7 +246,7 @@ def test_bad_pinned_friend_with_full_sets_is_refused(tmp_path, capsys):
 
 def test_full_set_of_the_wrong_dimension_exits_6(tmp_path, capsys, monkeypatch):
     # the parser sizes a full set from the system, so widen it after parsing
-    monkeypatch.setattr(inred.cli, "require_linear", lambda cs: Subspace.full(cs.dim + 1))
+    monkeypatch.setattr(inred.cli, "require_linear", lambda cs: Subspace.full(cs.ambient_dim + 1))
     path = write(tmp_path, "full.json", full_four_input_scenario())
     assert main(["analyze", path]) == 6
     assert "input constraint set must live in R^m" in capsys.readouterr().err

@@ -29,8 +29,8 @@ EXPORTED = {
     "degree_and_kind", "joint_kernel_dim", "left_invertibility", "report_to_dict",
     "report_to_text",
     # trajectory
-    "Box", "ConstraintSet", "FullSpace", "Grid", "Interpolation", "LinearSubspaceSet",
-    "Membership", "Polyhedron", "SampledSignal", "SingularGramian", "Status",
+    "ConstraintSet", "Grid", "Interpolation", "Membership", "Polyhedron", "SampledSignal",
+    "SingularGramian", "Status",
     "TrajectoryTriple", "boundary_residence", "check_admissible", "interior_window",
     "margins", "membership", "simulate",
     # synthesis

@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from inred.exact import RationalMatrix, kernel
+from inred.exact import RationalMatrix, Subspace, kernel
 from inred.geometry import SystemQuadruple
 from inred.synthesis import (
     EmptyWindow,
@@ -28,8 +28,6 @@ from inred.synthesis import (
     verify_increment,
 )
 from inred.trajectory import (
-    Box,
-    FullSpace,
     Grid,
     SampledSignal,
     check_admissible,
@@ -294,7 +292,7 @@ def test_certify_zero_nominal_is_inconclusive(buck):
 def test_certify_full_space_constraints_kernel_route(four_input_system):
     grid = Grid.from_horizon(0.0, 1e-3, 2.0)
     zero = SampledSignal(0, 1e-3, np.zeros((grid.n, 4)))
-    cert = certify_ir_pair(four_input_system, FullSpace(4), FullSpace(3),
+    cert = certify_ir_pair(four_input_system, Subspace.full(4), Subspace.full(3),
                            [0.0, 0.0, 0.0], zero)
     assert isinstance(cert.route, KernelBump)
     assert cert.window == (0.0, pytest.approx(2.0))
@@ -314,7 +312,7 @@ def test_certify_no_route_when_not_redundant(integrator):
     grid = Grid.from_horizon(0.0, 1e-3, 1.0)
     u = SampledSignal(0, 1e-3, np.zeros((grid.n, 1)))
     with pytest.raises(RZero):
-        certify_ir_pair(integrator, FullSpace(1), FullSpace(1), [0.0], u)
+        certify_ir_pair(integrator, Subspace.full(1), Subspace.full(1), [0.0], u)
 
 
 def test_certificate_soundness_at_half_step(buck):

@@ -16,12 +16,9 @@ from inred.exact import DimensionMismatch, Subspace
 from inred.trajectory import (
     MEMBERSHIP_TOL,
     AdmissibilityResult,
-    Box,
-    FullSpace,
     Grid,
     InteriorWindow,
     Interpolation,
-    LinearSubspaceSet,
     Membership,
     Polyhedron,
     SampledSignal,
@@ -42,7 +39,7 @@ from conftest import signals_equal
 
 
 def span_set(ambient, *vectors):
-    return LinearSubspaceSet(Subspace.from_vectors(ambient, vectors))
+    return Subspace.from_vectors(ambient, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -50,18 +47,18 @@ def span_set(ambient, *vectors):
 
 
 def test_box_interior_point():
-    m = membership(Box((0, 0), (1, 1)), [0.5, 0.5])
+    m = membership(Polyhedron.box((0, 0), (1, 1)), [0.5, 0.5])
     assert m.status is Status.INTERIOR
     assert m.margin == pytest.approx(0.5)
 
 
 def test_half_bounded_box_boundary_point():
-    m = membership(Box((0, 0), (math.inf, math.inf)), [0.0, 3.0])
+    m = membership(Polyhedron.box((0, 0), (math.inf, math.inf)), [0.0, 3.0])
     assert m.status is Status.BOUNDARY
 
 
 def test_box_outside_point():
-    m = membership(Box((0,), (1,)), [1.5])
+    m = membership(Polyhedron.box((0,), (1,)), [1.5])
     assert m.status is Status.OUTSIDE
     assert m.margin == pytest.approx(-0.5)
 
@@ -75,7 +72,7 @@ def test_proper_subspace_members_are_boundary():
 
 
 def test_full_space_always_interior():
-    m = membership(FullSpace(2), [1e9, -1e9])
+    m = membership(Subspace.full(2), [1e9, -1e9])
     assert m.status is Status.INTERIOR and math.isinf(m.margin)
 
 
@@ -99,7 +96,7 @@ def test_polyhedron_row_norm_does_not_overflow():
 
 def test_membership_trichotomy_random():
     rng = np.random.default_rng(7)
-    cs = Box((-1.0, 0.0), (1.0, math.inf))
+    cs = Polyhedron.box((-1.0, 0.0), (1.0, math.inf))
     for _ in range(200):
         v = rng.uniform(-2, 2, 2)
         m = membership(cs, v)
@@ -109,10 +106,10 @@ def test_membership_trichotomy_random():
 
 
 @pytest.mark.parametrize("cs", [
-    FullSpace(2),
-    LinearSubspaceSet(Subspace.full(2)),
+    Subspace.full(2),
+    Subspace.zero(2),
     span_set(2, [1, 0]),
-    Box((0, 0), (1, 1)),
+    Polyhedron.box((0, 0), (1, 1)),
     Polyhedron([[1.0, 1.0]], [1.0]),
 ])
 @pytest.mark.parametrize("point", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 0.0]])
@@ -123,7 +120,7 @@ def test_non_finite_point_is_outside(cs, point):
 
 def test_membership_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        membership(Box((0,), (1,)), [0.1, 0.2])
+        membership(Polyhedron.box((0,), (1,)), [0.1, 0.2])
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +317,7 @@ def test_zero_triple_on_nonnegative_boxes_is_admissible(boundary_example):
 
 def test_strict_set_rejects_boundary(boundary_example):
     sys, _, x_set = boundary_example
-    strict_u = Box((0.0, 0.0), (math.inf, math.inf), strict=True)
+    strict_u = Polyhedron.box((0.0, 0.0), (math.inf, math.inf), strict=True)
     u = SampledSignal(0, 0.01, np.zeros((201, 2)))
     triple = simulate(sys, [0.0], u)
     assert not check_admissible(triple, strict_u, x_set).ok
@@ -360,7 +357,7 @@ def test_interior_window_none_on_boundary_input(boundary_example):
 def test_interior_window_full_spaces_covers_horizon(integrator):
     u = SampledSignal(0, 0.01, np.zeros((101, 1)))
     triple = simulate(integrator, [0.0], u)
-    win = interior_window(triple, FullSpace(1), FullSpace(1), rho=1)
+    win = interior_window(triple, Subspace.full(1), Subspace.full(1), rho=1)
     assert (win.t1, win.t2) == (0.0, pytest.approx(1.0))
     assert math.isinf(win.r_u_min)
 
@@ -384,17 +381,7 @@ def test_boundary_residence_false_for_interior_ramp(buck):
 def test_boundary_residence_false_on_full_spaces(integrator):
     u = SampledSignal(0, 0.01, np.ones((101, 1)))
     triple = simulate(integrator, [0.0], u)
-    assert not boundary_residence(triple, FullSpace(1), FullSpace(1), rho=1)
-
-
-def test_boundary_residence_respects_breakpoints(boundary_example):
-    sys, u_set, x_set = boundary_example
-    ts = np.arange(101) * 0.01
-    vals = np.column_stack([np.where(ts < 0.5, 0.0, 1.0), np.zeros_like(ts)])
-    triple = simulate(sys, [-1.0], SampledSignal(0, 0.01, vals))
-    # after the jump the first input is interior... but the second stays at 0,
-    # so the input remains on the boundary of the orthant everywhere
-    assert boundary_residence(triple, u_set, x_set, rho=0, breakpoints=[0.5])
+    assert not boundary_residence(triple, Subspace.full(1), Subspace.full(1), rho=1)
 
 
 def test_window_and_boundary_residence_exclusive(buck):
@@ -506,10 +493,8 @@ def membership_pointwise(cs, v, tol=MEMBERSHIP_TOL):
     v = np.asarray(v, dtype=float).reshape(-1)
     if not all(map(math.isfinite, v.tolist())):
         return Membership(Status.OUTSIDE, -math.inf)
-    if isinstance(cs, FullSpace):
-        return Membership(Status.INTERIOR, math.inf)
-    if isinstance(cs, LinearSubspaceSet):
-        space = cs.space
+    if isinstance(cs, Subspace):
+        space = cs
         if space.is_full():
             return Membership(Status.INTERIOR, math.inf)
         if space.is_zero():
@@ -521,17 +506,10 @@ def membership_pointwise(cs, v, tol=MEMBERSHIP_TOL):
         if dist <= tol:
             return Membership(Status.BOUNDARY, 0.0)
         return Membership(Status.OUTSIDE, -dist)
-    if isinstance(cs, Box):
-        lo = np.asarray(cs.lower)
-        up = np.asarray(cs.upper)
-        slacks = np.concatenate([
-            np.where(np.isinf(lo), math.inf, v - lo),
-            np.where(np.isinf(up), math.inf, up - v),
-        ])
-        return _classify_pointwise(float(np.min(slacks)), tol)
     norms = np.array([math.hypot(*row) for row in cs.G])  # no square under- or overflows
     slacks = (cs.g - cs.G @ v) / norms
-    return _classify_pointwise(float(np.min(slacks)), tol)
+    # initial: a box with no finite bound is a polyhedron of no row
+    return _classify_pointwise(float(np.min(slacks, initial=math.inf)), tol)
 
 
 def _in_set_pointwise(m, strict):
@@ -542,29 +520,29 @@ def _in_set_pointwise(m, strict):
     return True
 
 
-def check_admissible_pointwise(triple, u_set, x_set, tol=MEMBERSHIP_TOL):
+def check_admissible_pointwise(triple, u_set, x_set):
     times = triple.u.times()
     su, sx = is_strict(u_set), is_strict(x_set)
     for k, t in enumerate(times):
-        if not _in_set_pointwise(membership_pointwise(u_set, triple.u.values[k], tol), su):
+        if not _in_set_pointwise(membership_pointwise(u_set, triple.u.values[k]), su):
             return AdmissibilityResult(False, float(t))
-        if not _in_set_pointwise(membership_pointwise(x_set, triple.x.values[k], tol), sx):
+        if not _in_set_pointwise(membership_pointwise(x_set, triple.x.values[k]), sx):
             return AdmissibilityResult(False, float(t))
     return AdmissibilityResult(True, None)
 
 
-def interior_window_pointwise(triple, u_set, x_set, rho, tol=MEMBERSHIP_TOL):
+def interior_window_pointwise(triple, u_set, x_set, rho):
     times = triple.u.times()
     N = len(times)
     ok = np.empty(N, dtype=bool)
     mu = np.empty(N)
     mx = np.full(N, math.inf)
     for k in range(N):
-        m_u = membership_pointwise(u_set, triple.u.values[k], tol)
+        m_u = membership_pointwise(u_set, triple.u.values[k])
         ok[k] = m_u.status is Status.INTERIOR
         mu[k] = m_u.margin
         if rho == 0:
-            m_x = membership_pointwise(x_set, triple.x.values[k], tol)
+            m_x = membership_pointwise(x_set, triple.x.values[k])
             ok[k] = ok[k] and m_x.status is Status.INTERIOR
             mx[k] = m_x.margin
     best: Optional[tuple[int, int]] = None
@@ -588,21 +566,16 @@ def interior_window_pointwise(triple, u_set, x_set, rho, tol=MEMBERSHIP_TOL):
     )
 
 
-def boundary_residence_pointwise(triple, u_set, x_set, rho, tol=MEMBERSHIP_TOL,
-                                 breakpoints=()):
-    times = triple.u.times()
+def boundary_residence_pointwise(triple, u_set, x_set, rho):
     su, sx = is_strict(u_set), is_strict(x_set)
-    half = 0.5 * triple.u.dt
-    for k, t in enumerate(times):
-        if any(abs(t - b) <= half for b in breakpoints):
-            continue
-        on_u = (not su) and membership_pointwise(u_set, triple.u.values[k], tol).status \
+    for k in range(triple.u.n_samples):
+        on_u = (not su) and membership_pointwise(u_set, triple.u.values[k]).status \
             is Status.BOUNDARY
         if rho > 0:
             if not on_u:
                 return False
         else:
-            on_x = (not sx) and membership_pointwise(x_set, triple.x.values[k], tol).status \
+            on_x = (not sx) and membership_pointwise(x_set, triple.x.values[k]).status \
                 is Status.BOUNDARY
             if not (on_u or on_x):
                 return False
@@ -610,10 +583,9 @@ def boundary_residence_pointwise(triple, u_set, x_set, rho, tol=MEMBERSHIP_TOL,
 
 
 # Coordinates are drawn from the box bounds themselves, so that points sit
-# exactly on a bound, from values whose slack equals a tolerance, and from a
-# few values that repeat, so that runs of interior nodes tie in length.
+# exactly on a bound, from values whose slack equals the tolerance, and from
+# a few values that repeat, so that runs of interior nodes tie in length.
 BOUNDS = (-math.inf, -1.0, 0.0, 1.0, math.inf)
-TOLERANCES = (MEMBERSHIP_TOL, 0.0, 0.25)
 COORDINATES = st.one_of(
     st.sampled_from((-1.0, 0.0, 1.0, 0.25, 0.75, -0.75, 0.5, 2.0, 1e-9, -1e-9,
                      1.0 - 1e-9, math.nan, math.inf, -math.inf)),
@@ -624,11 +596,11 @@ COORDINATES = st.one_of(
 @st.composite
 def boxes_and_full_spaces(draw, dim):
     if draw(st.booleans()):
-        return FullSpace(dim)
+        return Subspace.full(dim)
     pairs = [sorted(draw(st.lists(st.sampled_from(BOUNDS), min_size=2, max_size=2)))
              for _ in range(dim)]
-    return Box(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs),
-               strict=draw(st.booleans()))
+    return Polyhedron.box(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs),
+                          strict=draw(st.booleans()))
 
 
 def values(draw, n, dim, elements):
@@ -654,46 +626,36 @@ def sampled_triples(draw, elements=COORDINATES):
     return triple, draw(boxes_and_full_spaces(du)), draw(boxes_and_full_spaces(dx))
 
 
-def breakpoints_on(draw, triple):
-    """Breakpoint times on nodes, between nodes and exactly half a step off."""
-    dt, n = triple.u.dt, triple.u.n_samples
-    ks = draw(st.lists(st.integers(0, n - 1), max_size=3))
-    offsets = draw(st.lists(st.sampled_from((0.0, 0.3, 0.5, -0.5)),
-                            min_size=len(ks), max_size=len(ks)))
-    return [dt * (k + o) for k, o in zip(ks, offsets)]
-
-
 @settings(max_examples=400, deadline=None)
-@given(case=sampled_triples(), rho=st.integers(0, 2),
-       tol=st.sampled_from(TOLERANCES), data=st.data())
-def test_array_checks_match_pointwise_on_boxes_and_full_spaces(case, rho, tol, data):
+@given(case=sampled_triples(), rho=st.integers(0, 2))
+def test_array_checks_match_pointwise_on_boxes_and_full_spaces(case, rho):
     triple, u_set, x_set = case
     for cs, vals in ((u_set, triple.u.values), (x_set, triple.x.values)):
         # with tol = 0 the reference reports its raw margin
         assert margins(cs, vals).tolist() == [
             membership_pointwise(cs, v, 0.0).margin for v in vals]
-        assert [membership(cs, v, tol) for v in vals] == [
-            membership_pointwise(cs, v, tol) for v in vals]
-    assert (check_admissible(triple, u_set, x_set, tol)
-            == check_admissible_pointwise(triple, u_set, x_set, tol))
-    assert (interior_window(triple, u_set, x_set, rho, tol)
-            == interior_window_pointwise(triple, u_set, x_set, rho, tol))
-    breakpoints = breakpoints_on(data.draw, triple)
-    assert (boundary_residence(triple, u_set, x_set, rho, tol, breakpoints)
-            == boundary_residence_pointwise(triple, u_set, x_set, rho, tol, breakpoints))
+        assert [membership(cs, v) for v in vals] == [
+            membership_pointwise(cs, v) for v in vals]
+    assert (check_admissible(triple, u_set, x_set)
+            == check_admissible_pointwise(triple, u_set, x_set))
+    assert (interior_window(triple, u_set, x_set, rho)
+            == interior_window_pointwise(triple, u_set, x_set, rho))
+    assert (boundary_residence(triple, u_set, x_set, rho)
+            == boundary_residence_pointwise(triple, u_set, x_set, rho))
 
 
-@pytest.mark.parametrize("tol", TOLERANCES)
+@pytest.mark.parametrize("margin", [0.0, MEMBERSHIP_TOL, -MEMBERSHIP_TOL])
 @pytest.mark.parametrize("strict", [False, True])
-def test_margin_equal_to_tol_is_boundary(tol, strict):
-    # a margin of exactly tol is Boundary: admitted by the closed set only
-    u = np.array([[0.5], [tol], [0.5]])
+def test_margin_equal_to_tol_is_boundary(margin, strict):
+    # a margin of 0 or of exactly +-MEMBERSHIP_TOL is Boundary: admitted by
+    # the closed set only
+    u = np.array([[0.5], [margin], [0.5]])
     triple = TrajectoryTriple(u=SampledSignal(0.0, 1.0, u), x=SampledSignal(0.0, 1.0, u),
                               y=SampledSignal(0.0, 1.0, u), x0=u[0])
-    box = Box((0.0,), (1.0,), strict=strict)
-    assert membership(box, [tol], tol).status is Status.BOUNDARY
-    adm = check_admissible(triple, box, FullSpace(1), tol)
-    assert adm == check_admissible_pointwise(triple, box, FullSpace(1), tol)
+    box = Polyhedron.box((0.0,), (1.0,), strict=strict)
+    assert membership(box, [margin]).status is Status.BOUNDARY
+    adm = check_admissible(triple, box, Subspace.full(1))
+    assert adm == check_admissible_pointwise(triple, box, Subspace.full(1))
     assert adm.ok is not strict
 
 
@@ -702,9 +664,10 @@ def test_interior_window_takes_the_first_of_equally_long_runs():
     u = np.array(ok, dtype=float)[:, None]
     triple = TrajectoryTriple(u=SampledSignal(0.0, 1.0, u), x=SampledSignal(0.0, 1.0, u),
                               y=SampledSignal(0.0, 1.0, u), x0=u[0])
-    win = interior_window(triple, Box((0.5,), (math.inf,)), FullSpace(1), rho=1)
+    u_set = Polyhedron.box((0.5,), (math.inf,))
+    win = interior_window(triple, u_set, Subspace.full(1), rho=1)
     assert (win.t1, win.t2) == (0.0, 2.0)
-    assert win == interior_window_pointwise(triple, Box((0.5,), (math.inf,)), FullSpace(1), 1)
+    assert win == interior_window_pointwise(triple, u_set, Subspace.full(1), 1)
 
 
 @st.composite
@@ -717,13 +680,13 @@ def polyhedra_and_subspaces(draw, dim):
         return Polyhedron(G, values(draw, rows, 1, st.floats(-2.0, 2.0)).ravel(),
                           strict=draw(st.booleans()))
     if kind == "zero":
-        return LinearSubspaceSet(Subspace.from_vectors(dim, []))
+        return Subspace.zero(dim)
     if kind == "full":
-        return LinearSubspaceSet(Subspace.full(dim))
+        return Subspace.full(dim)
     k = draw(st.integers(1, dim))
     span = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
                          min_size=k, max_size=k))
-    return LinearSubspaceSet(Subspace.from_vectors(dim, span))
+    return Subspace.from_vectors(dim, span)
 
 
 POLY_COORDINATES = st.one_of(
@@ -747,13 +710,73 @@ def test_polyhedron_and_subspace_margins_match_pointwise(n, dim, data):
             continue
         slack = 1e-12 * (1 + abs(ref))
         assert abs(m[k] - ref) <= slack
-        for tol in (MEMBERSHIP_TOL, 0.1):
-            if min(abs(ref - tol), abs(ref + tol)) > slack:
-                assert membership(cs, v, tol).status is membership_pointwise(cs, v, tol).status
+        if min(abs(ref - MEMBERSHIP_TOL), abs(ref + MEMBERSHIP_TOL)) > slack:
+            assert membership(cs, v).status is membership_pointwise(cs, v).status
+
+
+@np.errstate(all="ignore")
+def box_margins_reference(lower, upper, V):
+    """The margins of a box before boxes became polyhedra: the box slack
+    formula of `margins`, kept verbatim, around its handling of non-finite
+    rows."""
+    finite = np.isfinite(V).all(axis=1)
+    V = np.where(finite[:, None], V, 0.0)
+    lo = np.asarray(lower)
+    up = np.asarray(upper)
+    slacks = np.concatenate([
+        np.where(np.isinf(lo), math.inf, V - lo),
+        np.where(np.isinf(up), math.inf, up - V),
+    ], axis=1)
+    m = np.min(slacks, axis=1)
+    m[~finite | np.isnan(m)] = -math.inf
+    return m
+
+
+BOX_BOUNDS = st.one_of(st.sampled_from((-1e308, -1.0, 0.0, 0.5, 1.0, 1e308)),
+                       st.floats(-1e308, 1e308))
+BOX_COORDINATES = st.one_of(
+    st.sampled_from((math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, 1.0)),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def box_bounds(draw, dim):
+    """(lower, upper): each side finite or infinite on its own side, lower <= upper."""
+    lower, upper = [], []
+    for _ in range(dim):
+        lo, up = sorted(draw(st.lists(BOX_BOUNDS, min_size=2, max_size=2)))
+        lower.append(-math.inf if draw(st.booleans()) else lo)
+        upper.append(math.inf if draw(st.booleans()) else up)
+    return lower, upper
+
+
+@settings(max_examples=400, deadline=None)
+@given(dim=st.integers(1, 4), n=st.integers(1, 12), strict=st.booleans(), data=st.data())
+def test_box_margins_equal_the_box_slack_formula(dim, n, strict, data):
+    # a box row's other entries add exact zeros, (-lo) - (-v) rounds as
+    # v - lo does and every row norm is 1, so the margins are bit-identical
+    lower, upper = data.draw(box_bounds(dim))
+    V = values(data.draw, n, dim, BOX_COORDINATES)
+    box = Polyhedron.box(lower, upper, strict)
+    assert margins(box, V).tolist() == box_margins_reference(lower, upper, V).tolist()
+
+
+def test_box_rows_are_its_finite_bounds():
+    box = Polyhedron.box((0.0, -math.inf, -1.0), (1.0, 2.0, math.inf), strict=True)
+    assert box.G.tolist() == [[-1, 0, 0], [0, 0, -1], [1, 0, 0], [0, 1, 0]]
+    assert box.g.tolist() == [0.0, 1.0, 1.0, 2.0] and box.strict and box.ambient_dim == 3
+    unbounded = Polyhedron.box((-math.inf,) * 2, (math.inf,) * 2)
+    assert unbounded.G.shape == (0, 2)
+    assert margins(unbounded, np.ones((3, 2))).tolist() == [math.inf] * 3
+    with pytest.raises(DimensionMismatch):
+        Polyhedron.box((0.0,), (1.0, 1.0))
+    with pytest.raises(ValueError, match="exceeds"):
+        Polyhedron.box((2.0,), (1.0,))
 
 
 def test_subspace_margin_is_minus_the_distance():
-    cs = LinearSubspaceSet(Subspace.from_vectors(2, [[1, -1]]))
+    cs = Subspace.from_vectors(2, [[1, -1]])
     m = margins(cs, np.array([[2.0, -2.0], [1.0, 0.0], [math.nan, 0.0]]))
     assert abs(m[0]) <= 1e-15
     assert m[1] == pytest.approx(-math.sqrt(0.5))
@@ -774,30 +797,30 @@ def test_array_checks_match_pointwise_on_polyhedra_and_subspaces(case, rho, data
         slack = 1e-12 * (1 + np.abs(finite))
         if np.any(np.minimum(np.abs(finite - tol), np.abs(finite + tol)) <= slack):
             return
-    assert (check_admissible(triple, u_set, x_set, tol)
-            == check_admissible_pointwise(triple, u_set, x_set, tol))
-    win = interior_window(triple, u_set, x_set, rho, tol)
-    ref = interior_window_pointwise(triple, u_set, x_set, rho, tol)
+    assert (check_admissible(triple, u_set, x_set)
+            == check_admissible_pointwise(triple, u_set, x_set))
+    win = interior_window(triple, u_set, x_set, rho)
+    ref = interior_window_pointwise(triple, u_set, x_set, rho)
     assert (win is None) == (ref is None)
     if win is not None:
         assert (win.t1, win.t2) == (ref.t1, ref.t2)
         for a, b in ((win.r_u_min, ref.r_u_min), (win.r_x_min, ref.r_x_min)):
             assert a == b or abs(a - b) <= 1e-12 * (1 + abs(b))
-    assert (boundary_residence(triple, u_set, x_set, rho, tol)
-            == boundary_residence_pointwise(triple, u_set, x_set, rho, tol))
+    assert (boundary_residence(triple, u_set, x_set, rho)
+            == boundary_residence_pointwise(triple, u_set, x_set, rho))
 
 
 def test_margins_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        margins(Box((0,), (1,)), np.zeros((4, 2)))
+        margins(Polyhedron.box((0,), (1,)), np.zeros((4, 2)))
     with pytest.raises(DimensionMismatch):
-        margins(FullSpace(2), np.zeros(2))
+        margins(Subspace.full(2), np.zeros(2))
 
 
 def test_margins_of_non_finite_rows_are_minus_infinity():
     vals = np.array([[0.5, 0.5], [math.nan, 0.5], [0.5, -math.inf], [1.0, 0.0]])
-    for cs in (FullSpace(2), Box((0, 0), (1, 1)), Polyhedron([[1.0, 1.0]], [1.0]),
-               LinearSubspaceSet(Subspace.from_vectors(2, [[1, 0]]))):
+    for cs in (Subspace.full(2), Polyhedron.box((0, 0), (1, 1)), Polyhedron([[1.0, 1.0]], [1.0]),
+               Subspace.from_vectors(2, [[1, 0]])):
         m = margins(cs, vals)
         assert m[1] == m[2] == -math.inf
         assert m[0] > -math.inf and m[3] > -math.inf
