@@ -201,6 +201,8 @@ class Polyhedron:
         g = np.asarray(self.g, dtype=float).reshape(-1)
         if G.shape[0] != g.shape[0]:
             raise DimensionMismatch("polyhedron G rows must match g length")
+        if np.isnan(g).any():
+            raise ValueError("polyhedron g must not hold NaN")
         peak = np.max(np.abs(G), axis=1, initial=0.0)
         if np.any(peak == 0):
             raise ValueError("polyhedron rows must be nonzero")
@@ -225,10 +227,14 @@ class Polyhedron:
         up = np.asarray(upper, dtype=float).reshape(-1)
         if lo.shape != up.shape:
             raise DimensionMismatch("box bounds have different lengths")
+        if np.isnan(lo).any() or np.isnan(up).any():
+            raise ValueError("box bounds must not be NaN")
+        if (lo == math.inf).any() or (up == -math.inf).any():
+            raise ValueError("box is empty: a lower bound is +inf or an upper bound is -inf")
         if np.any(lo > up):
             raise ValueError("box lower bound exceeds upper bound")
         rows = np.eye(lo.shape[0])
-        has_lo, has_up = ~np.isinf(lo), ~np.isinf(up)
+        has_lo, has_up = np.isfinite(lo), np.isfinite(up)
         return cls(np.vstack([-rows[has_lo], rows[has_up]]),
                    np.concatenate([-lo[has_lo], up[has_up]]), strict)
 

@@ -891,13 +891,40 @@ def test_malformed_x0_flag(tmp_path, capsys, x0, code):
     ({"type": "polyhedron", "G": [[0.0]], "g": [1.0]}, "constraints.u"),
     ({"type": "polyhedron", "G": 5, "g": [1.0]}, "constraints.u.G"),
     ({"type": "subspace", "span": [5]}, "constraints.u.span"),
-], ids=["box-order", "zero-row", "G-scalar", "span-scalar"])
+    ({"type": "box", "lower": ["inf"], "upper": [None]}, "constraints.u"),
+    ({"type": "box", "lower": [None], "upper": ["-inf"]}, "constraints.u"),
+    ({"type": "box", "lower": [math.nan], "upper": [1]}, "constraints.u"),
+    ({"type": "polyhedron", "G": [[1.0]], "g": [math.nan]}, "constraints.u"),
+], ids=["box-order", "zero-row", "G-scalar", "span-scalar", "box-lower-inf",
+        "box-upper-minus-inf", "box-nan", "polyhedron-nan-g"])
 def test_constraint_the_constructor_refuses_is_a_parse_error(tmp_path, capsys, constraint, named):
     obj = json.loads(json.dumps(SMALL_SIMULATE))
     obj["constraints"]["u"] = constraint
     assert main(["simulate", write(tmp_path, "bad_set.json", obj)]) == 3
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+EMPTY_BOX = {
+    "system": {"A": [[-1]], "B": [[1, 1]], "C": [[1]], "D": [[0, 0]]},
+    "constraints": {"u": {"type": "box", "lower": ["inf", 0], "upper": [None, 1]},
+                    "x": {"type": "box", "lower": [None], "upper": ["-inf"]}},
+    "scenario": {"x0": [0.5], "nominal": "u",
+                 "signals": {"u": signal_obj([[0.0, 0.5]] * 5, dt=0.01)}},
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+@pytest.mark.parametrize("empty", ["u", "x"])
+def test_empty_box_is_a_parse_error(tmp_path, capsys, command, empty):
+    # U and X are empty; the infinite bounds used to drop out, so that both
+    # read as the whole space and the nominal came out admissible
+    obj = json.loads(json.dumps(EMPTY_BOX))
+    other = "x" if empty == "u" else "u"
+    obj["constraints"][other] = {"type": "full"}
+    assert main([command, write(tmp_path, "empty.json", obj)]) == 3
+    err = capsys.readouterr().err
+    assert f"constraints.{empty}: box is empty" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("key,value", [("dt", math.inf), ("dt", math.nan), ("t0", math.inf)])

@@ -597,7 +597,8 @@ COORDINATES = st.one_of(
 def boxes_and_full_spaces(draw, dim):
     if draw(st.booleans()):
         return Subspace.full(dim)
-    pairs = [sorted(draw(st.lists(st.sampled_from(BOUNDS), min_size=2, max_size=2)))
+    # no lower bound of +inf and no upper bound of -inf: such a box is refused
+    pairs = [sorted((draw(st.sampled_from(BOUNDS[:-1])), draw(st.sampled_from(BOUNDS[1:]))))
              for _ in range(dim)]
     return Polyhedron.box(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs),
                           strict=draw(st.booleans()))
@@ -774,6 +775,25 @@ def test_box_rows_are_its_finite_bounds():
     with pytest.raises(ValueError, match="exceeds"):
         Polyhedron.box((2.0,), (1.0,))
 
+
+
+@pytest.mark.parametrize("lower,upper", [
+    ((math.inf, 0.0), (math.inf, 1.0)),
+    ((0.0,), (-math.inf,)),
+    ((-math.inf,), (-math.inf,)),
+    ((math.nan,), (1.0,)),
+    ((0.0,), (math.nan,)),
+], ids=["lower-inf", "upper-minus-inf", "both-minus-inf", "lower-nan", "upper-nan"])
+def test_empty_or_nan_box_is_refused(lower, upper):
+    # such a bound used to drop out of the margins, so an empty box read as
+    # the whole space
+    with pytest.raises(ValueError, match="box"):
+        Polyhedron.box(lower, upper)
+
+
+def test_polyhedron_with_a_nan_offset_is_refused():
+    with pytest.raises(ValueError, match="NaN"):
+        Polyhedron([[1.0, 0.0], [0.0, 1.0]], [1.0, math.nan])
 
 def test_subspace_margin_is_minus_the_distance():
     cs = Subspace.from_vectors(2, [[1, -1]])
