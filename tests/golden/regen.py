@@ -188,6 +188,9 @@ def named_analyze_scenarios() -> Iterator[tuple[str, Any, tuple[str, ...]]]:
         dict(FOUR_INPUT_PINNED, F=[[0, 0, 1], [0, 0, 0], [0, 0, 0]])), ("--pin-bases",)
     yield "box-constraints", {"system": BUCK, "constraints": {
         "u": {"type": "box", "lower": [0, 0], "upper": [1, 1]}, "x": {"type": "full"}}}, ()
+    yield "unbounded-box", {"system": {"A": [[-1]], "B": [[1, 1]], "C": [[1]], "D": [[0, 0]]},
+                            "constraints": {"u": _box([None, None], [None, None]),
+                                            "x": {"type": "full"}}}, ()
     yield "dimension-mismatch", {"system": dict(BUCK, D=[[0, 0, 0]]), "constraints": FULL}, ()
     yield "malformed", '{"system": [', ()
 
