@@ -275,9 +275,12 @@ def with_overrides(scenario: Scenario, x0: Optional[str] = None,
 
 
 def require_linear(cs: ConstraintSet) -> Subspace:
-    """Constraint set as a subspace, or NonLinearConstraints."""
+    """Constraint set as a subspace, or NonLinearConstraints.  A polyhedron of
+    no row, such as a box with no finite bound, is the whole space."""
     if isinstance(cs, Subspace):
         return cs
+    if cs.G.shape[0] == 0:
+        return Subspace.full(cs.ambient_dim)
     raise NonLinearConstraints(
         f"{type(cs).__name__} constraints are not linear subspaces; "
         "use the trajectory/certification commands instead"

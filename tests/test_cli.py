@@ -182,6 +182,19 @@ def test_analyze_rejects_box_constraints(tmp_path):
     assert main(["analyze", path]) == 2
 
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_analyze_reads_a_box_with_no_bound_as_the_whole_space(tmp_path, capsys, strict, fmt):
+    obj = {"system": {"A": [[-1]], "B": [[1, 1]], "C": [[1]], "D": [[0, 0]]},
+           "constraints": {"u": {"type": "full"}, "x": {"type": "full"}}}
+    assert main(["analyze", write(tmp_path, "full.json", obj), "--format", fmt]) == 0
+    full = capsys.readouterr()
+    obj["constraints"]["u"] = {"type": "box", "lower": [None, None], "upper": [None, None],
+                               "strict": strict}
+    assert main(["analyze", write(tmp_path, "box.json", obj), "--format", fmt]) == 0
+    assert capsys.readouterr() == full
+
+
 def test_analyze_malformed_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
