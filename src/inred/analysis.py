@@ -21,7 +21,7 @@ every admissible pair, so "uniform" simply mirrors the kind being set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -66,7 +66,9 @@ class RedundancyReport:
     directions that move the state but not the output; their pair is the
     degree of redundancy.  N is the subspace of output-invisible input
     directions the two live in.  For constrained systems the quantities refer
-    to the reduced unconstrained system, and l is its state dimension.
+    to the reduced unconstrained system, and l is its state dimension.  The
+    kind, degree and uniform flag follow from (rho, nu); left_invertible is
+    the one answer of `left_invertibility`, for G and P alike.
     """
 
     rho: int
@@ -74,17 +76,23 @@ class RedundancyReport:
     N: Subspace
     dim_V: int
     dim_R: int
-    kind: Kind
-    degree: tuple[int, int]
-    uniform: bool
     l: int
-    left_invertible_G: Optional[bool] = None
-    left_invertible_P: Optional[bool] = None
+    left_invertible: Optional[bool] = None
     consistency_flags: dict[str, bool] = field(default_factory=dict)
+
+    @property
+    def kind(self) -> Kind:
+        return kind_of(self.rho, self.nu)
+
+    @property
+    def degree(self) -> tuple[int, int]:
+        return self.rho, self.nu
 
     @property
     def is_ir(self) -> bool:
         return self.kind is not Kind.NOT_IR
+
+    uniform = is_ir
 
 
 def joint_kernel_dim(B: RationalMatrix, D: RationalMatrix) -> int:
@@ -94,41 +102,41 @@ def joint_kernel_dim(B: RationalMatrix, D: RationalMatrix) -> int:
     return kernel(RationalMatrix.vstack(B, D)).dim
 
 
-def _classify(sys: SystemQuadruple, on: OutputNulling) -> RedundancyReport:
-    rho = joint_kernel_dim(sys.B, sys.D)
-    nu = on.N.dim - rho
-    kind = kind_of(rho, nu)
-    return RedundancyReport(
-        rho=rho, nu=nu, N=on.N, dim_V=on.V.dim, dim_R=on.R.dim,
-        kind=kind, degree=(rho, nu), uniform=kind is not Kind.NOT_IR,
-        l=sys.n,
-    )
+def _degree(B: RationalMatrix, N: Subspace) -> tuple[int, int]:
+    """(rho, nu) of a system whose output-invisible input directions are N.
+
+    N = B^-1 V n ker D contains ker B n ker D, and that is exactly the
+    kernel of B on N.  So nu = dim B N and rho = dim N - nu.
+    """
+    nu = (B @ N.basis).rank()
+    return N.dim - nu, nu
 
 
 def degree_and_kind(sys: SystemQuadruple) -> RedundancyReport:
     """Classify an unconstrained quadruple (geometric route, exact)."""
-    return _classify(sys, output_nulling(sys))
+    on = output_nulling(sys)
+    rho, nu = _degree(sys.B, on.N)
+    return RedundancyReport(rho=rho, nu=nu, N=on.N, dim_V=on.V.dim, dim_R=on.R.dim, l=sys.n)
 
 
-def left_invertibility(sys: SystemQuadruple) -> tuple[bool, bool]:
-    """(transfer matrix left-invertible, system matrix left-invertible).
+def left_invertibility(sys: SystemQuadruple) -> bool:
+    """Whether the transfer matrix, and so the system matrix, is left invertible.
 
     Decided exactly by ranking P(s) = [sI - A, -B; C, D] at s = 0, 1, ..., n,
     stopping at the first point of full column rank n + m.  Every maximal
     minor of P(s) is a polynomial of degree at most n, so a nonzero one
     vanishes at no more than n of these points: the scan finds the normal
     rank.  The normal rank of P is n plus that of G(s) = C(sI - A)^{-1}B + D
-    (Rosenbrock 1970), so both entries are the same answer.
+    (Rosenbrock 1970), so the two questions have the same answer.
     """
     n, m = sys.n, sys.m
     shift = RationalMatrix.hstack(RationalMatrix.identity(n), RationalMatrix.zeros(n, m))
     pencil = RationalMatrix.hstack(sys.A, sys.B)
     lower = RationalMatrix.hstack(sys.C, sys.D)
-    invertible = any(
+    return any(
         RationalMatrix.vstack(shift.scaled(s) - pencil, lower).rank() == n + m
         for s in range(n + 1)
     )
-    return invertible, invertible
 
 
 def _check_ir_witness(sys: SystemQuadruple, on: OutputNulling) -> None:
@@ -158,22 +166,14 @@ def analyze_degenerate(sys: SystemQuadruple, u_set: Subspace) -> RedundancyRepor
     if u_set.ambient_dim != sys.m:
         raise DimensionMismatch("input constraint set must live in R^m")
     N = u_set & kernel(RationalMatrix.vstack(sys.B, sys.D))
-    rho = N.dim
-    kind = Kind.FIRST if rho > 0 else Kind.NOT_IR
-    invertible = rho == 0
-    return RedundancyReport(
-        rho=rho, nu=0, N=N, dim_V=0, dim_R=0,
-        kind=kind, degree=(rho, 0), uniform=kind is not Kind.NOT_IR,
-        l=0,
-        left_invertible_G=invertible, left_invertible_P=invertible,
-    )
+    return RedundancyReport(rho=N.dim, nu=0, N=N, dim_V=0, dim_R=0, l=0,
+                            left_invertible=N.is_zero())
 
 
 def _unconstrained_kind(sys: SystemQuadruple) -> Kind:
     """The kind of `sys` with U = R^m and X = R^n, from V and N alone."""
-    rho = joint_kernel_dim(sys.B, sys.D)
     N = preimage(sys.B, weakly_unobservable(sys)) & kernel(sys.D)
-    return kind_of(rho, N.dim - rho)
+    return kind_of(*_degree(sys.B, N))
 
 
 def analyze(sys: SystemQuadruple, u_set: Subspace, x_set: Subspace,
@@ -204,26 +204,25 @@ def analyze(sys: SystemQuadruple, u_set: Subspace, x_set: Subspace,
         except DegenerateStateSpace:
             return analyze_degenerate(sys, u_set)
     on = output_nulling(reduced)
-    base = _classify(reduced, on)
-    if base.is_ir:
+    rho, nu = _degree(reduced.B, on.N)
+    kind = kind_of(rho, nu)
+    if kind is not Kind.NOT_IR:
         _check_ir_witness(reduced, on)
-        g_inv = p_inv = False
-    else:
-        g_inv, p_inv = left_invertibility(reduced)
-        if not p_inv:
-            raise ConsistencyError("normal-rank route disagrees with the exact degree computation")
+    elif not left_invertibility(reduced):
+        raise ConsistencyError("normal-rank route disagrees with the exact degree computation")
     # with full sets the system is its own reduction, so the kinds agree
-    free_kind = base.kind if unconstrained else _unconstrained_kind(sys)
+    free_kind = kind if unconstrained else _unconstrained_kind(sys)
 
     flags = {
-        "nu_matches_dim_R": (base.nu > 0) == (base.dim_R > 0),
+        "nu_matches_dim_R": (nu > 0) == (on.R.dim > 0),
         "kind_preserved_from_unconstrained": (
             free_kind not in (Kind.FIRST, Kind.SECOND)
-            or base.kind in (Kind.NOT_IR, free_kind)
+            or kind in (Kind.NOT_IR, free_kind)
         ),
     }
-    return replace(base, left_invertible_G=g_inv, left_invertible_P=p_inv,
-                   consistency_flags=flags)
+    return RedundancyReport(rho=rho, nu=nu, N=on.N, dim_V=on.V.dim, dim_R=on.R.dim,
+                            l=reduced.n, left_invertible=kind is Kind.NOT_IR,
+                            consistency_flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +243,8 @@ def report_to_dict(report: RedundancyReport) -> dict:
         "degree": list(report.degree),
         "uniform": report.uniform,
         "l": report.l,
-        "left_invertible_G": report.left_invertible_G,
-        "left_invertible_P": report.left_invertible_P,
+        "left_invertible_G": report.left_invertible,
+        "left_invertible_P": report.left_invertible,
         "consistency_flags": dict(report.consistency_flags),
     }
 
@@ -267,12 +266,9 @@ def report_to_text(report: RedundancyReport) -> str:
     if report.l == 0:
         lines.append("state space collapses to the origin; "
                      "only x0 = 0 admits trajectories")
-    if report.left_invertible_P is not None:
-        lines.append(
-            "left invertible: transfer matrix "
-            f"{'yes' if report.left_invertible_G else 'no'}, "
-            f"system matrix {'yes' if report.left_invertible_P else 'no'}"
-        )
+    if report.left_invertible is not None:
+        answer = "yes" if report.left_invertible else "no"
+        lines.append(f"left invertible: transfer matrix {answer}, system matrix {answer}")
     if report.consistency_flags:
         failing = [k for k, v in report.consistency_flags.items() if not v]
         lines.append(

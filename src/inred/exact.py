@@ -482,17 +482,3 @@ def restriction_matrix(mat: RationalMatrix, space: Subspace) -> RationalMatrix:
     if sol is None:
         raise InvarianceViolated("matrix does not leave the subspace invariant")
     return sol
-
-
-def complete_basis(current: RationalMatrix, candidates: Iterable[RationalMatrix]) -> RationalMatrix:
-    """Columns that greedily extend `current`'s to a larger independent set.
-
-    Scans the candidate matrices column by column and keeps each column that
-    raises the rank.  Returns only the appended columns.  One elimination
-    suffices: a column of [current, candidates...] is a pivot column of the
-    RREF exactly when it lies outside the span of the columns before it.
-    """
-    stacked = RationalMatrix.hstack(current, *candidates)  # checks the column lengths
-    keep = [c for c in stacked.rref()[1] if c >= current.cols]
-    num = tuple(tuple(row[c] for c in keep) for row in stacked._num)
-    return _normalized(current.rows, len(keep), num, stacked._den)

@@ -20,7 +20,6 @@ from .exact import (
     DimensionMismatch,
     RationalMatrix,
     Subspace,
-    complete_basis,
     image,
     kernel,
     preimage,
@@ -157,34 +156,30 @@ def weakly_unobservable(sys: SystemQuadruple) -> Subspace:
 
 def _friend_matrix(A: RationalMatrix, B: RationalMatrix, W: Subspace,
                    CD: Optional[tuple[RationalMatrix, RationalMatrix]]) -> Optional[RationalMatrix]:
-    """F with (A+BF)W <= W (and (C+DF)W = 0 when CD given), zero on a complement."""
-    n, m = A.rows, B.cols
-    if W.is_zero():
-        return RationalMatrix.zeros(m, n)
+    """F with (A+BF)W <= W (and (C+DF)W = 0 when CD given), zero on the
+    coordinate axes off W's pivot rows: F T = f_on_w is solved with T' in RREF,
+    whose free variables, set to zero, are those axes."""
     T = W.basis
-    k = W.dim
     lhs = RationalMatrix.hstack(B, -T)
     rhs = -(A @ T)
     if CD is not None:
         C, D = CD
-        lhs = RationalMatrix.vstack(lhs, RationalMatrix.hstack(D, RationalMatrix.zeros(C.rows, k)))
+        lhs = RationalMatrix.vstack(lhs, RationalMatrix.hstack(
+            D, RationalMatrix.zeros(C.rows, W.dim)))
         rhs = RationalMatrix.vstack(rhs, -(C @ T))
     sol = lhs.solve_columns(rhs)
     if sol is None:
         return None
-    f_on_w = sol.block(0, m, 0, k)
-    # F S = [f_on_w, 0] for the invertible S = [T, Tc], so F is unique
-    S = RationalMatrix.hstack(T, complete_basis(T, [RationalMatrix.identity(n)]))
-    target = RationalMatrix.hstack(f_on_w, RationalMatrix.zeros(m, n - k))
-    return S.transpose().solve_columns(target.transpose()).transpose()
+    f_on_w = sol.block(0, B.cols, 0, W.dim)
+    return T.transpose().solve_columns(f_on_w.transpose()).transpose()
 
 
 def friend(sys: SystemQuadruple, W: Subspace, output_nulling: bool = False) -> RationalMatrix:
     """A feedback F making W invariant for A+BF, output-nulling on request.
 
     The defining linear systems are solved exactly with free variables pinned
-    to zero, and F vanishes on a fixed complement of W, so the choice is
-    deterministic.
+    to zero, and F vanishes on the coordinate axes off the pivot rows of W's
+    canonical basis (a fixed complement of W), so the choice is deterministic.
     """
     if W.ambient_dim != sys.n:
         raise DimensionMismatch("subspace must live in the state space")

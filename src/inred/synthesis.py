@@ -183,7 +183,7 @@ def synthesize_state_loop(sys: SystemQuadruple, window: tuple[float, float],
     A11 = ab.A11.to_float()
     B1 = ab.B1.to_float()
     Ta = ab.Ta.to_float()
-    FTa = ab.F.to_float() @ Ta
+    FTa = (ab.F @ ab.Ta).to_float()
     L = ab.L.to_float()
     peak = np.zeros(ra)
     peak[0] = 1.0

@@ -92,6 +92,16 @@ def test_buck_unconstrained_is_second_kind(buck):
     assert rep.dim_R == 1
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1), reduced=st.booleans())
+@example(seed=2, reduced=True)  # a reduced system with m = 0
+def test_degree_read_off_n_matches_the_joint_kernel(seed, reduced):
+    sys = drawn_system(seed, reduced)
+    N = geometry.output_nulling(sys).N
+    rho = joint_kernel_dim(sys.B, sys.D)
+    assert analysis._degree(sys.B, N) == (rho, N.dim - rho)
+
+
 def test_integrator_not_redundant(integrator):
     rep = degree_and_kind(integrator)
     assert rep.kind is Kind.NOT_IR
@@ -103,19 +113,19 @@ def test_integrator_not_redundant(integrator):
 
 
 def test_integrator_left_invertible(integrator):
-    assert left_invertibility(integrator) == (True, True)
+    assert left_invertibility(integrator) is True
 
 
 def test_four_input_reduced_not_left_invertible(four_input_system, four_input_constraints,
                                                 four_input_pinned):
     u_set, x_set = four_input_constraints
     reduced = reduce_system(four_input_system, u_set, x_set, pinned=four_input_pinned)
-    assert left_invertibility(reduced.sys) == (False, False)
+    assert left_invertibility(reduced.sys) is False
 
 
 def test_buck_not_left_invertible(buck):
     sys, _, _ = buck
-    assert left_invertibility(sys) == (False, False)
+    assert left_invertibility(sys) is False
 
 
 def left_invertibility_sampled(sys, samples=3, seed=20240):
@@ -164,14 +174,16 @@ def drawn_system(seed, reduced):
 @example(seed=2, reduced=True)  # a reduced system with m = 0
 def test_left_invertibility_matches_sampled_reference(seed, reduced):
     sys = drawn_system(seed, reduced)
-    assert left_invertibility(sys) == left_invertibility_sampled(sys)
+    g_inv, p_inv = left_invertibility_sampled(sys)
+    assert left_invertibility(sys) == g_inv == p_inv
 
 
 def test_left_invertibility_without_inputs():
     # a reduction can leave m = 0: P(s) = [sI - A; C] has full rank off the spectrum
     sys = SystemQuadruple(RationalMatrix.zeros(2, 2), RationalMatrix.zeros(2, 0),
                           RationalMatrix.zeros(1, 2), RationalMatrix.zeros(1, 0))
-    assert left_invertibility(sys) == left_invertibility_sampled(sys) == (True, True)
+    assert left_invertibility(sys) is True
+    assert left_invertibility_sampled(sys) == (True, True)
 
 
 def system_matrix_rank(sys, s):
@@ -187,7 +199,7 @@ def test_left_invertibility_scans_past_invariant_zeros():
     sys = SystemQuadruple.from_rows(
         [[0, 1, 0], [0, 0, 1], [-1, -3, -3]], [[0], [0], [1]], [[0, -1, 1]], [[0]])
     assert [system_matrix_rank(sys, s) for s in (0, 1, 2)] == [3, 3, 4]
-    assert left_invertibility(sys) == (True, True)
+    assert left_invertibility(sys) is True
     assert left_invertibility_sampled(sys) == (True, True)
 
 
@@ -196,7 +208,7 @@ def test_left_invertibility_scans_to_the_last_point():
     sys = SystemQuadruple.from_rows(
         [[0, 0, 0], [0, 1, 0], [0, 0, 2]], [[0], [0], [0]], [[1, 1, 1]], [[1]])
     assert [system_matrix_rank(sys, s) for s in range(4)] == [3, 3, 3, 4]
-    assert left_invertibility(sys) == (True, True)
+    assert left_invertibility(sys) is True
 
 
 def test_left_invertibility_integer_spectrum_not_invertible():
@@ -204,18 +216,18 @@ def test_left_invertibility_integer_spectrum_not_invertible():
     sys = SystemQuadruple.from_rows(
         [[0, 0, 0], [0, 1, 0], [0, 0, 2]], [[0, 1], [1, 0], [0, 0]],
         [[1, 0, 0], [0, 0, 1]], [[0, 0], [0, 0]])
-    assert left_invertibility(sys) == (False, False)
+    assert left_invertibility(sys) is False
     assert left_invertibility_sampled(sys) == (False, False)
 
 
-@pytest.mark.parametrize("B,expected", [
+@pytest.mark.parametrize("B,expected", [  # expected (G, P) of the sampled reference
     ([[1, -1]], (True, True)),   # the dynamics separate what D merges
     ([[1, 1]], (False, False)),  # u = (1, -1) reaches neither x nor y
 ])
 def test_left_invertibility_rank_deficient_feedthrough(B, expected):
     sys = SystemQuadruple.from_rows([[0]], B, [[1], [0]], [[1, 1], [1, 1]])
-    assert left_invertibility(sys) == expected
     assert left_invertibility_sampled(sys) == expected
+    assert left_invertibility(sys) is expected[0]
 
 
 # ---------------------------------------------------------------------------
@@ -243,19 +255,19 @@ def test_analyze_proves_ir_without_a_rank_scan(monkeypatch, four_input_system,
                                                four_input_constraints):
     calls = count_calls(monkeypatch, analysis.left_invertibility)
     rep = analyze(four_input_system, *four_input_constraints)
-    assert rep.is_ir and rep.left_invertible_P is False
+    assert rep.is_ir and rep.left_invertible is False
     assert calls == []
 
 
 def test_analyze_proves_not_ir_with_one_rank_scan(monkeypatch, integrator):
     calls = count_calls(monkeypatch, analysis.left_invertibility)
     rep = analyze(integrator, Subspace.full(1), Subspace.full(1))
-    assert not rep.is_ir and rep.left_invertible_P is True
+    assert not rep.is_ir and rep.left_invertible is True
     assert len(calls) == 1
 
 
 def test_analyze_raises_when_the_rank_scan_finds_no_witness(monkeypatch, integrator):
-    monkeypatch.setattr(analysis, "left_invertibility", lambda sys: (False, False))
+    monkeypatch.setattr(analysis, "left_invertibility", lambda sys: False)
     with pytest.raises(ConsistencyError):
         analyze(integrator, Subspace.full(1), Subspace.full(1))
 
@@ -326,14 +338,14 @@ def test_degenerate_first_kind_by_construction():
     assert rep.l == 0
     assert rep.kind is Kind.FIRST
     assert rep.degree == (1, 0)
-    assert rep.left_invertible_P is False
+    assert rep.left_invertible is False
 
 
 def test_degenerate_injective_input_not_redundant():
     sys = SystemQuadruple.from_rows([[0]], [[1, 0]], [[1]], [[0, 1]])
     rep = analyze_degenerate(sys, Subspace.full(2))
     assert rep.kind is Kind.NOT_IR
-    assert rep.left_invertible_P is True
+    assert rep.left_invertible is True
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +378,7 @@ def test_analyze_integrator_full_spaces(integrator):
     rep = analyze(integrator, Subspace.full(1), Subspace.full(1))
     assert rep.kind is Kind.NOT_IR
     assert not rep.uniform
-    assert rep.left_invertible_P is True
+    assert rep.left_invertible is True
 
 
 def test_analyze_computes_weakly_unobservable_once_per_system(
@@ -479,8 +491,7 @@ def test_theorem_equivalences_random_sample():
         rep = analyze(sys, u_set, x_set)
         if rep.l == 0:
             continue
-        assert (rep.rho > 0 or rep.nu > 0) == (not rep.left_invertible_P)
-        assert rep.left_invertible_P == rep.left_invertible_G
+        assert (rep.rho > 0 or rep.nu > 0) == (not rep.left_invertible)
         assert (rep.nu > 0) == (rep.dim_R > 0)
         assert rep.nu == rep.N.dim - rep.rho >= 0
         checked += 1

@@ -18,7 +18,6 @@ from inred.exact import (
     RationalMatrix,
     Subspace,
     as_fraction,
-    complete_basis,
     image,
     kernel,
     preimage,
@@ -329,74 +328,6 @@ def test_inverse_rejects_singular():
         mat([[1, 2], [2, 4]]).inverse()
 
 
-def test_complete_basis_reaches_full_rank():
-    T = mat([[1], [1], [0]])
-    extra = complete_basis(T, [RationalMatrix.identity(3)])
-    full = RationalMatrix.hstack(T, extra)
-    assert full.rank() == 3
-
-
-def test_complete_basis_rejects_candidates_of_wrong_length():
-    with pytest.raises(DimensionMismatch):
-        complete_basis(RationalMatrix.identity(2), [RationalMatrix.identity(3)])
-
-
-def complete_basis_greedy(current, candidates):
-    """Reference: the greedy scan with one rank computation per candidate column."""
-    n = current.rows
-    cols = [current.col(j) for j in range(current.cols)]
-    rank = current.rank()
-    out = []
-    for cand in candidates:
-        for j in range(cand.cols):
-            v = cand.col(j)
-            trial_rows = [list(r) for r in zip(*(cols + out + [v]))] if n else []
-            trial = RationalMatrix.from_rows(trial_rows, cols=len(cols) + len(out) + 1)
-            if trial.rank() > rank:
-                out.append(v)
-                rank += 1
-    if not out:
-        return RationalMatrix.zeros(n, 0)
-    return RationalMatrix.from_rows([list(r) for r in zip(*out)], cols=len(out))
-
-
-def from_columns(n, cols):
-    if not cols:
-        return RationalMatrix.zeros(n, 0)
-    return RationalMatrix.from_rows([list(r) for r in zip(*cols)], cols=len(cols))
-
-
-@st.composite
-def basis_completion(draw):
-    n = draw(st.integers(min_value=1, max_value=4))
-    column = st.lists(small_entries, min_size=n, max_size=n)
-    current = draw(st.lists(column, max_size=n + 1))
-    if current and draw(st.booleans()):
-        current.append([2 * x for x in current[0]])  # rank-deficient current
-    candidates = draw(st.lists(st.lists(column, max_size=3), max_size=3))
-    return n, current, candidates
-
-
-@settings(max_examples=200, deadline=None)
-@given(problem=basis_completion())
-@example(problem=(3, [], [[[1, 0, 0], [2, 0, 0]], [[0, 1, 0], [0, 0, 1]]]))
-@example(problem=(3, [[1, 1, 0], [2, 2, 0]], [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]))
-def test_complete_basis_matches_greedy_rank_scan(problem):
-    n, current, candidates = problem
-    cur = from_columns(n, current)
-    cands = [from_columns(n, c) for c in candidates]
-    assert complete_basis(cur, cands) == complete_basis_greedy(cur, cands)
-
-
-def test_complete_basis_is_one_elimination(monkeypatch):
-    calls = []
-    rref = RationalMatrix.rref
-    monkeypatch.setattr(RationalMatrix, "rref", lambda self: calls.append(1) or rref(self))
-    complete_basis(mat([[1], [1], [0]]), [mat([[1, 0], [1, 0], [0, 0]]),
-                                          RationalMatrix.identity(3)])
-    assert len(calls) == 1
-
-
 def test_matmul_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         mat([[1, 2]]) @ mat([[1, 2]])
@@ -670,23 +601,12 @@ def test_subspace_operations_match_fraction_reference(problem):
 @settings(max_examples=150, deadline=None)
 @given(problem=factor_pair())
 @with_edge_examples
-def test_completion_and_restriction_match_fraction_reference(problem):
-    L, R, P = factor_matrices(problem)
-    m = L.rows
-    for current, candidates in ((L, [P]), (P, [L, RationalMatrix.identity(m)])):
-        stacked = rows_of(current)
-        for cand in candidates:
-            stacked = ref_hstack(stacked, rows_of(cand))
-        ncols = current.cols + sum(c.cols for c in candidates)
-        _, pivots = rref_fraction([list(r) for r in stacked], ncols)
-        keep = [c for c in pivots if c >= current.cols]
-        extra = complete_basis(current, candidates)
-        assert extra.shape == (m, len(keep))
-        assert rows_of(extra) == [[row[c] for c in keep] for row in stacked]
+def test_restriction_matches_fraction_reference(problem):
+    L, _, P = factor_matrices(problem)
     if L.rows != L.cols:
         return
     closure = image(P)
-    for _ in range(m):
+    for _ in range(L.rows):
         closure = closure + image(L @ closure.basis)
     for space in (image(P), closure):
         basis = rows_of(space.basis)

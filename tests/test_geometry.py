@@ -24,6 +24,7 @@ from inred.geometry import (
     DegenerateStateSpace,
     FixpointNotConverged,
     NotControlledInvariant,
+    NotOutputNulling,
     PinnedBases,
     SystemQuadruple,
     adapted_basis,
@@ -203,6 +204,45 @@ def test_friend_validity_on_random_weakly_unobservable():
         assert image(closed @ V.basis) <= V
         assert ((sys.C + sys.D @ F) @ V.basis).is_zero()
         assert controllable_weakly_unobservable(sys) <= V
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), which=st.sampled_from(["V", "V*", "zero", "full"]),
+       nulling=st.booleans())
+def test_friend_holds_w_and_vanishes_off_its_pivot_rows(seed, which, nulling):
+    rng = random.Random(seed)
+    sys = random_system(rng, n_max=4, m_max=3, p_max=2)
+    if which == "V":
+        W = weakly_unobservable(sys)
+    elif which == "V*":
+        K = random_subspace(rng, sys.n, rng.randint(0, sys.n))
+        W = max_controlled_invariant(sys.A, sys.B, K)
+    else:
+        W = Subspace.zero(sys.n) if which == "zero" else Subspace.full(sys.n)
+    try:
+        F = friend(sys, W, output_nulling=nulling)
+    except NotOutputNulling:
+        assert nulling and which in ("V*", "full")
+        return
+    T = W.basis
+    assert F.shape == (sys.m, sys.n)
+    assert image((sys.A + sys.B @ F) @ T) <= W
+    if nulling:
+        assert ((sys.C + sys.D @ F) @ T).is_zero()
+    pivot_rows = {next(i for i in range(sys.n) if T.entries[i][j]) for j in range(W.dim)}
+    for j in set(range(sys.n)) - pivot_rows:
+        assert not any(F.col(j)), f"F e_{j} != 0 off the pivot rows {sorted(pivot_rows)}"
+
+
+@pytest.mark.parametrize("nulling", [False, True])
+def test_friend_is_two_eliminations(monkeypatch, buck, nulling):
+    sys, _, _ = buck
+    W = span(3, [1, -1, 0])
+    calls = []
+    rref = RationalMatrix.rref
+    monkeypatch.setattr(RationalMatrix, "rref", lambda self: calls.append(1) or rref(self))
+    friend(sys, W, output_nulling=nulling)
+    assert len(calls) == 2  # the solve for F on W, then the transposed solve for F
 
 
 def test_output_nulling_record_matches_its_parts():
